@@ -15,6 +15,9 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kVerified =
+    mm::RunOptions::verified(mm::VerifyMode::kReference);
+
 void compare(const char* label, const core::Shape& shape, i64 P) {
   const auto bound =
       core::memory_independent_bound(shape, static_cast<double>(P));
@@ -39,19 +42,20 @@ void compare(const char* label, const core::Shape& shape, i64 P) {
   const core::Grid3 best = core::best_integer_grid(shape, P);
   add("Algorithm 1, optimal grid " + std::to_string(best.p1) + "x" +
           std::to_string(best.p2) + "x" + std::to_string(best.p3),
-      mm::run_grid3d(mm::Grid3dConfig{shape, best}, true));
+      mm::run_grid3d(mm::Grid3dConfig{shape, best}, kVerified));
   add("Agarwal'95 (All-to-All), same grid",
-      mm::run_grid3d_agarwal(mm::Grid3dAgarwalConfig{shape, best}, true));
+      mm::run_grid3d_agarwal(mm::Grid3dAgarwalConfig{shape, best}, kVerified));
 
   const i64 g = isqrt(P);
   if (g * g == P) {
     add("SUMMA " + std::to_string(g) + "x" + std::to_string(g),
-        mm::run_summa(mm::SummaConfig{shape, g}, true));
+        mm::run_summa(mm::SummaConfig{shape, g}, kVerified));
     add("Cannon " + std::to_string(g) + "x" + std::to_string(g),
-        mm::run_cannon(mm::CannonConfig{shape, g}, true));
+        mm::run_cannon(mm::CannonConfig{shape, g}, kVerified));
     add("Algorithm 1 on the square 2D grid " + std::to_string(g) + "x1x" +
             std::to_string(g),
-        mm::run_grid3d(mm::Grid3dConfig{shape, core::Grid3{g, 1, g}}, true));
+        mm::run_grid3d(mm::Grid3dConfig{shape, core::Grid3{g, 1, g}},
+                       kVerified));
   }
   // 2.5D with the deepest replication that fits P = g'^2 * c.
   for (i64 c : {2, 4}) {
@@ -61,10 +65,10 @@ void compare(const char* label, const core::Shape& shape, i64 P) {
     if (gg * gg != gsq || gg % c != 0) continue;
     add("2.5D " + std::to_string(gg) + "x" + std::to_string(gg) + "x" +
             std::to_string(c),
-        mm::run_alg25d(mm::Alg25dConfig{shape, gg, c}, true));
+        mm::run_alg25d(mm::Alg25dConfig{shape, gg, c}, kVerified));
   }
   add("naive broadcast-everything",
-      mm::run_naive_bcast(mm::NaiveBcastConfig{shape}, P, true));
+      mm::run_naive_bcast(mm::NaiveBcastConfig{shape}, P, kVerified));
   table.print(std::cout);
   std::cout << "\n";
 }

@@ -15,6 +15,9 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kVerified =
+    mm::RunOptions::verified(mm::VerifyMode::kReference);
+
 struct Case {
   const char* label;
   core::Shape shape;
@@ -41,8 +44,10 @@ int main() {
       continue;
     }
     const core::Grid3 grid = core::best_integer_grid(c.shape, P);
-    const auto alg1 = mm::run_grid3d(mm::Grid3dConfig{c.shape, grid}, true);
-    const auto carma = mm::run_carma(mm::CarmaConfig{c.shape, c.levels}, true);
+    const auto alg1 =
+        mm::run_grid3d(mm::Grid3dConfig{c.shape, grid}, kVerified);
+    const auto carma =
+        mm::run_carma(mm::CarmaConfig{c.shape, c.levels}, kVerified);
     const double bound = alg1.lower_bound_words;
     std::string splits;
     for (char s : mm::carma_split_sequence(mm::CarmaConfig{c.shape, c.levels})) {

@@ -24,6 +24,8 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void analytic_panel(const core::Shape& shape, i64 P) {
   const core::Grid3 grid = core::exact_optimal_grid(shape, P);
   const auto bound =
@@ -59,7 +61,7 @@ void analytic_panel(const core::Shape& shape, i64 P) {
 void executed_panel(const core::Shape& shape, const core::Grid3& grid,
                     const std::string& label) {
   mm::Grid3dConfig cfg{shape, grid};
-  const mm::RunReport report = mm::run_grid3d(cfg, /*verify=*/false);
+  const mm::RunReport report = mm::run_grid3d(cfg, kUnverified);
   const double bound = report.lower_bound_words;
   std::cout << "  " << label << ": grid " << grid.p1 << "x" << grid.p2 << "x"
             << grid.p3 << ", measured " << report.measured_critical_recv

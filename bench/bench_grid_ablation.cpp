@@ -17,6 +17,8 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void ablate(const core::Shape& shape, i64 P, const char* regime_label) {
   const auto bound =
       core::memory_independent_bound(shape, static_cast<double>(P));
@@ -60,7 +62,7 @@ void executed_spot_check() {
        {core::Grid3{4, 1, 1}, core::Grid3{2, 2, 1}, core::Grid3{1, 2, 2},
         core::Grid3{1, 1, 4}}) {
     mm::Grid3dConfig cfg{shape, grid};
-    const mm::RunReport report = mm::run_grid3d(cfg, false);
+    const mm::RunReport report = mm::run_grid3d(cfg, kUnverified);
     table.add_row({std::to_string(grid.p1) + "x" + std::to_string(grid.p2) +
                        "x" + std::to_string(grid.p3),
                    Table::fmt_int(report.measured_critical_recv),

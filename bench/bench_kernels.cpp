@@ -16,6 +16,8 @@ namespace {
 using namespace camb;
 using namespace camb::mm;
 
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void BM_LocalGemm(benchmark::State& state) {
   const i64 n = state.range(0);
   MatrixD a(n, n), b(n, n), c(n, n);
@@ -119,7 +121,7 @@ void BM_Grid3dEndToEnd(benchmark::State& state) {
   const core::Grid3 grid{4, 2, 1};
   for (auto _ : state) {
     mm::Grid3dConfig cfg{shape, grid};
-    const auto report = mm::run_grid3d(cfg, false);
+    const auto report = mm::run_grid3d(cfg, kUnverified);
     benchmark::DoNotOptimize(report.measured_critical_recv);
   }
   state.SetItemsProcessed(state.iterations() * shape.flops());

@@ -24,6 +24,10 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kVerified =
+    mm::RunOptions::verified(mm::VerifyMode::kReference);
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void staged_sweep() {
   const core::Shape shape{384, 96, 24};
   const core::Grid3 grid{8, 2, 1};  // optimal for P = 16
@@ -35,7 +39,7 @@ void staged_sweep() {
   double mem1 = 0;
   for (i64 stages : {1, 2, 4, 8, 16, 48}) {
     mm::Grid3dStagedConfig cfg{shape, grid, stages};
-    const auto report = mm::run_grid3d_staged(cfg, false);
+    const auto report = mm::run_grid3d_staged(cfg, kUnverified);
     const auto peak = static_cast<double>(report.measured_peak_memory_words);
     if (stages == 1) mem1 = peak;
     table.add_row({Table::fmt_int(stages),
@@ -59,7 +63,7 @@ void replication_sweep() {
                "words * sqrt(c)"});
   for (i64 c : {1, 2, 4}) {
     mm::Alg25dConfig cfg{shape, 4, c};
-    const auto report = mm::run_alg25d(cfg, true);
+    const auto report = mm::run_alg25d(cfg, kVerified);
     const double words = static_cast<double>(report.measured_critical_recv);
     table.add_row({Table::fmt_int(c), Table::fmt_int(16 * c),
                    Table::fmt(words, 0),

@@ -21,6 +21,8 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 std::string fmt_constant(const std::optional<double>& c) {
   return c.has_value() ? Table::fmt(c.value(), 3) : "-";
 }
@@ -66,7 +68,7 @@ void print_attainment_sweep() {
     const auto bound =
         core::memory_independent_bound(shape, static_cast<double>(row.P));
     mm::Grid3dConfig cfg{shape, row.grid};
-    const mm::RunReport report = mm::run_grid3d(cfg, /*verify=*/false);
+    const mm::RunReport report = mm::run_grid3d(cfg, kUnverified);
     const double measured =
         static_cast<double>(report.measured_critical_recv);
     table.add_row(

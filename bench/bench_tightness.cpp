@@ -15,6 +15,9 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kVerified =
+    mm::RunOptions::verified(mm::VerifyMode::kReference);
+
 struct Case {
   const char* label;
   core::Shape shape;
@@ -47,7 +50,7 @@ int main() {
   for (const Case& c : executed_cases) {
     const core::Grid3 grid = core::exact_optimal_grid(c.shape, c.P);
     mm::Grid3dConfig cfg{c.shape, grid};
-    const mm::RunReport report = mm::run_grid3d(cfg, /*verify=*/true);
+    const mm::RunReport report = mm::run_grid3d(cfg, kVerified);
     const double diff =
         static_cast<double>(report.measured_critical_recv) -
         report.lower_bound_words;

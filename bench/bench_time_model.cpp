@@ -17,6 +17,8 @@ using mm::MachineParams;
 
 namespace {
 
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void regime_table(const char* label, const MachineParams& params) {
   const core::Shape shape{9600, 2400, 600};
   const i64 P = 64;
@@ -70,7 +72,8 @@ void measured_crosscheck() {
   const core::Grid3 grid{8, 2, 1};
   MachineParams params{1e-6, 1e-9, 0.0};
   const auto predicted = mm::alg1_time(shape, grid, params);
-  const auto report = mm::run_grid3d(mm::Grid3dConfig{shape, grid}, false);
+  const auto report =
+      mm::run_grid3d(mm::Grid3dConfig{shape, grid}, kUnverified);
   const double measured = mm::measured_time(report, 0.0, params);
   std::cout << "predicted (closed form): " << Table::fmt_sci(predicted.total(), 6)
             << " s\nmeasured  (machine):     " << Table::fmt_sci(measured, 6)

@@ -56,7 +56,10 @@ int main(int argc, char** argv) {
 
   // 3. Run Algorithm 1 on the simulated machine.
   mm::Grid3dConfig cfg{shape, grid};
-  const mm::RunReport report = mm::run_grid3d(cfg, cli.get_bool("verify"));
+  const mm::RunReport report = mm::run_grid3d(
+      cfg, mm::RunOptions::verified(cli.get_bool("verify")
+                                        ? mm::VerifyMode::kReference
+                                        : mm::VerifyMode::kNone));
 
   // 4. Compare.
   std::cout << "executed on the simulated machine:\n"

@@ -22,6 +22,10 @@ using namespace camb;
 
 namespace {
 
+const mm::RunOptions kVerified =
+    mm::RunOptions::verified(mm::VerifyMode::kReference);
+const mm::RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 int checks_run = 0;
 int checks_passed = 0;
 
@@ -92,7 +96,8 @@ void claim_algorithm1_attains() {
                         Case{"2D regime, P=16", {384, 96, 24}, 16},
                         Case{"3D regime, P=512", {1536, 384, 96}, 512}}) {
     const core::Grid3 grid = core::exact_optimal_grid(c.shape, c.P);
-    const auto report = mm::run_grid3d(mm::Grid3dConfig{c.shape, grid}, true);
+    const auto report =
+        mm::run_grid3d(mm::Grid3dConfig{c.shape, grid}, kVerified);
     const bool tight =
         std::abs(static_cast<double>(report.measured_critical_recv) -
                  report.lower_bound_words) <= 1e-9 * report.lower_bound_words;
@@ -138,8 +143,8 @@ void claim_section62() {
   // Staged Alg. 1: bandwidth unchanged while temporary memory shrinks.
   const core::Shape shape{384, 96, 24};
   const core::Grid3 grid{8, 2, 1};
-  const auto one = mm::run_grid3d_staged({shape, grid, 1}, false);
-  const auto eight = mm::run_grid3d_staged({shape, grid, 8}, false);
+  const auto one = mm::run_grid3d_staged({shape, grid, 1}, kUnverified);
+  const auto eight = mm::run_grid3d_staged({shape, grid, 8}, kUnverified);
   verdict("staging preserves bandwidth while shrinking memory",
           one.measured_critical_recv == eight.measured_critical_recv &&
               mm::grid3d_staged_peak_memory_words({shape, grid, 8}) <
@@ -151,9 +156,9 @@ void claim_section51_collectives() {
                "All-to-All with smaller latency at equal bandwidth.\n";
   const core::Shape shape{24, 32, 16};
   const core::Grid3 grid{2, 8, 2};
-  const auto alg1 = mm::run_grid3d(mm::Grid3dConfig{shape, grid}, true);
+  const auto alg1 = mm::run_grid3d(mm::Grid3dConfig{shape, grid}, kVerified);
   const auto agarwal =
-      mm::run_grid3d_agarwal(mm::Grid3dAgarwalConfig{shape, grid}, true);
+      mm::run_grid3d_agarwal(mm::Grid3dAgarwalConfig{shape, grid}, kVerified);
   verdict("equal received words, fewer messages for Alg. 1",
           alg1.measured_critical_recv == agarwal.measured_critical_recv &&
               alg1.measured_critical_messages <

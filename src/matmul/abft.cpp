@@ -21,18 +21,6 @@ namespace {
 
 int rank_of(i64 i, i64 j, i64 g) { return static_cast<int>(i * g + j); }
 
-BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
-                      i64 ci) {
-  BlockChunk chunk;
-  chunk.row0 = rows.start(ri);
-  chunk.col0 = cols.start(ci);
-  chunk.rows = rows.size(ri);
-  chunk.cols = cols.size(ci);
-  chunk.flat_start = 0;
-  chunk.flat_size = chunk.rows * chunk.cols;
-  return chunk;
-}
-
 /// The checksum-exact fill.  Exact scalars use the plain indexed pattern —
 /// integer arithmetic never rounds, so sums are order-independent without
 /// any input restriction.  Floating-point scalars still need the
@@ -701,73 +689,22 @@ Grid3dAbftOutputT<T> grid3d_abft_ckpt_rank(ckpt::SessionT<T>& session,
   const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
   const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
 
-  const i64 t0 = session.resume_step();
-  std::vector<T> a_flat, b_flat;
+  // Steps 0-2 are Algorithm 1's own (working sets included); step 3 is the
+  // parity encode, whose snapshot appends the parity to the C chunk.
   Grid3dAbftOutputT<T> out;
-  out.own.c_chunk = layout.c;
-  std::vector<T> parity;
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    if (t0 == 1) {
-      a_flat = snap.bufs.at(0);
-    } else if (t0 == 2) {
-      a_flat = snap.bufs.at(0);
-      b_flat = snap.bufs.at(1);
-    } else if (t0 == 3) {
-      out.own.c_data = snap.bufs.at(0);
-    } else {
-      CAMB_CHECK(t0 == 4);
-      out.own.c_data = snap.bufs.at(0);
-      parity = snap.bufs.at(1);
-    }
-  }
-
-  for (i64 step = t0; step < 4; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherA);
-      const camb::WorkingSet a_ws(ctx, layout.a.block_size());
-      a_flat = coll::allgather(fiber_a, layout.a_counts,
-                               abft_fill<T>(layout.a), base.allgather);
-    } else if (step == 1) {
-      ctx.set_phase(kPhaseAllgatherB);
-      const camb::WorkingSet b_ws(ctx, layout.b.block_size());
-      b_flat = coll::allgather(fiber_b, layout.b_counts,
-                               abft_fill<T>(layout.b), base.allgather);
-    } else if (step == 2) {
-      ctx.set_phase(kPhaseLocalGemm);
-      const camb::WorkingSet d_ws(ctx, layout.c.block_size());
-      Matrix<T> a_block(layout.a.rows, layout.a.cols);
-      std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-      Matrix<T> b_block(layout.b.rows, layout.b.cols);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-      const Matrix<T> d_block = gemm(a_block, b_block);
-      ctx.set_phase(kPhaseReduceScatterC);
-      std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
-      out.own.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                            base.reduce_scatter);
-      CAMB_CHECK(static_cast<i64>(out.own.c_data.size()) ==
-                 layout.c.flat_size);
-    } else {
-      ctx.set_phase(kPhaseAbftEncode);
-      std::vector<T> padded = out.own.c_data;
-      padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
-      parity = coll::allreduce(parity_fiber, std::move(padded));
-    }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      if (step == 0) {
-        snap.bufs = {a_flat};
-      } else if (step == 1) {
-        snap.bufs = {a_flat, b_flat};
-      } else if (step == 2) {
-        snap.bufs = {out.own.c_data};
-      } else {
-        snap.bufs = {out.own.c_data, parity};
-      }
-      return snap;
+  out.own = grid3d_core<T>(session, base, layout, fiber_a, fiber_b, fiber_c,
+                           abft_fill<T>(layout.a), abft_fill<T>(layout.b));
+  if (session.resume_step() == 4) {
+    out.parity = session.snapshot().bufs.at(1);
+  } else {
+    ctx.set_phase(kPhaseAbftEncode);
+    std::vector<T> padded = out.own.c_data;
+    padded.resize(static_cast<std::size_t>(lmax), ScalarTraits<T>::zero());
+    out.parity = coll::allreduce(parity_fiber, std::move(padded));
+    session.boundary(4, [&] {
+      return SnapshotT<T>{.bufs = {out.own.c_data, out.parity}};
     });
   }
-  out.parity = parity;
   return out;
 }
 

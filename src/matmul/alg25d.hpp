@@ -32,30 +32,35 @@ struct Alg25dConfig {
   bool integer_inputs = false;
 };
 
-/// A rank's output: layer-0 ranks return their full C block; other layers
-/// return an empty block (the output lives in one copy, on layer 0).
-template <typename T = double>
-Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg);
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp): the replicate + skew prologue at epoch 0
+/// only, one boundary per in-layer Cannon step, the depth-reduce epilogue.
+/// Layer-0 ranks return their full C block; other layers return an empty
+/// block (the output lives in one copy, on layer 0).
+template <typename T, typename Session>
+Block2DOutputT<T> alg25d_body(Session& session, const Alg25dConfig& cfg);
 
-/// Steps 1–4 for logical position (i, j, l), parameterized by the three
-/// fiber comms and the layer-0 holdings (empty off layer 0), so the same
-/// code runs on the world grid (alg25d_rank) and on a survivors' recovery
-/// grid (the elastic twin).  Returns the reduced C block values (layer 0)
-/// or an empty vector (other layers).
-template <typename T>
-std::vector<T> alg25d_core(RankCtx& ctx, const Alg25dConfig& cfg, i64 i, i64 j,
-                           i64 l, const coll::Comm& depth,
+/// The body on the machine's own ranks (default scalar: double).
+template <typename T = double>
+Block2DOutputT<T> alg25d_rank(RankCtx& ctx, const Alg25dConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return alg25d_body<T>(session, cfg);
+}
+
+/// Steps 1–4 for logical position (i, j, l) from the session's resume step
+/// on, parameterized by the three fiber comms and the layer-0 holdings
+/// (empty off layer 0), so the same code runs on the world grid
+/// (alg25d_body) and on a survivors' recovery grid (the elastic twin).
+/// Returns the reduced C block values (layer 0) or an empty vector (other
+/// layers).  Instantiated for PlainSession<T>.
+template <typename T, typename Session>
+std::vector<T> alg25d_core(Session& session, const Alg25dConfig& cfg, i64 i,
+                           i64 j, i64 l, const coll::Comm& depth,
                            const coll::Comm& my_row, const coll::Comm& my_col,
                            std::vector<T> a_held, std::vector<T> b_held);
 
 /// Exact predicted received words for `rank`.
 i64 alg25d_predicted_recv_words(const Alg25dConfig& cfg, int rank);
-
-/// Checkpointable twin: replicate + skew prologue at epoch 0 only, one
-/// boundary per in-layer Cannon step, depth-reduce epilogue.
-template <typename T>
-Block2DOutputT<T> alg25d_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const Alg25dConfig& cfg);
 
 i64 alg25d_ckpt_steps(const Alg25dConfig& cfg);
 i64 alg25d_ckpt_snapshot_words(const Alg25dConfig& cfg, int logical, i64 step);

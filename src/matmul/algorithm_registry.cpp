@@ -32,58 +32,37 @@ i64 best_25d_depth(i64 nprocs) {
   return 0;
 }
 
-/// Assemble an entry from its options-taking runner: the legacy bool-verify
-/// `run` is derived from `run_opts` so the two can never diverge.
-AlgorithmInfo make_algorithm(
-    std::string name,
-    std::function<bool(const Shape&, i64)> supports,
-    std::function<RunReport(const Shape&, i64, const RunOptions&)> run_opts,
-    bool bandwidth_optimal) {
-  AlgorithmInfo info;
-  info.name = std::move(name);
-  info.supports = std::move(supports);
-  info.run_opts = std::move(run_opts);
-  info.run = [run = info.run_opts](const Shape& shape, i64 nprocs,
-                                   bool verify) {
-    return run(shape, nprocs,
-               RunOptions::verified(verify ? VerifyMode::kReference
-                                           : VerifyMode::kNone));
-  };
-  info.bandwidth_optimal = bandwidth_optimal;
-  return info;
-}
-
 std::vector<AlgorithmInfo> build_registry() {
   std::vector<AlgorithmInfo> algorithms;
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "grid3d_optimal",
       [](const Shape&, i64) { return true; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         const core::Grid3 grid = planned_grid(shape, nprocs);
         return run_grid3d(Grid3dConfig{shape, grid}, opts);
       },
-      /*bandwidth_optimal=*/true));
+      /*bandwidth_optimal=*/true});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "grid3d_agarwal95",
       [](const Shape&, i64) { return true; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         const core::Grid3 grid = planned_grid(shape, nprocs);
         return run_grid3d_agarwal(Grid3dAgarwalConfig{shape, grid}, opts);
       },
-      /*bandwidth_optimal=*/true));
+      /*bandwidth_optimal=*/true});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "grid3d_staged4",
       [](const Shape&, i64) { return true; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         const core::Grid3 grid = planned_grid(shape, nprocs);
         return run_grid3d_staged(Grid3dStagedConfig{shape, grid, 4}, opts);
       },
-      /*bandwidth_optimal=*/true));
+      /*bandwidth_optimal=*/true});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "carma",
       [](const Shape& shape, i64 nprocs) {
         int levels = 0;
@@ -96,17 +75,17 @@ std::vector<AlgorithmInfo> build_registry() {
         while ((i64{1} << levels) < nprocs) ++levels;
         return run_carma(CarmaConfig{shape, levels}, opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "summa",
       [](const Shape&, i64 nprocs) { return is_square_p(nprocs); },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         return run_summa(SummaConfig{shape, isqrt(nprocs)}, opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "summa_abft",
       [](const Shape&, i64 nprocs) {
         return is_square_p(nprocs) && isqrt(nprocs) >= 2;
@@ -115,9 +94,9 @@ std::vector<AlgorithmInfo> build_registry() {
         return run_summa_abft(SummaAbftConfig{SummaConfig{shape, isqrt(nprocs)}},
                               opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "grid3d_abft",
       [](const Shape& shape, i64 nprocs) {
         // The parity fiber needs at least two members to tolerate a loss.
@@ -128,24 +107,24 @@ std::vector<AlgorithmInfo> build_registry() {
         return run_grid3d_abft(Grid3dAbftConfig{Grid3dConfig{shape, grid}},
                                opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "cannon",
       [](const Shape&, i64 nprocs) { return is_square_p(nprocs); },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         return run_cannon(CannonConfig{shape, isqrt(nprocs)}, opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "alg25d",
       [](const Shape&, i64 nprocs) { return best_25d_depth(nprocs) > 0; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         const i64 c = best_25d_depth(nprocs);
         return run_alg25d(Alg25dConfig{shape, isqrt(nprocs / c), c}, opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
   // The elastic twins run the base algorithm through the shrink-and-regrid
   // envelope (matmul/elastic.hpp).  Registered so the golden equivalence
@@ -153,7 +132,7 @@ std::vector<AlgorithmInfo> build_registry() {
   // word-identical to the base entry (the enlist/confirm probes are
   // zero-word), though its output hash pins the integer-valued input
   // pattern that keeps C bit-stable across regrids.
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "summa_elastic",
       [](const Shape&, i64 nprocs) { return is_square_p(nprocs); },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
@@ -161,9 +140,9 @@ std::vector<AlgorithmInfo> build_registry() {
         eopts.elastic.enabled = true;
         return run_summa_elastic(SummaConfig{shape, isqrt(nprocs)}, eopts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "grid3d_elastic",
       [](const Shape&, i64) { return true; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
@@ -172,9 +151,9 @@ std::vector<AlgorithmInfo> build_registry() {
         eopts.elastic.enabled = true;
         return run_grid3d_elastic(Grid3dConfig{shape, grid}, eopts);
       },
-      /*bandwidth_optimal=*/true));
+      /*bandwidth_optimal=*/true});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "alg25d_elastic",
       [](const Shape&, i64 nprocs) { return best_25d_depth(nprocs) > 0; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
@@ -184,15 +163,15 @@ std::vector<AlgorithmInfo> build_registry() {
         return run_alg25d_elastic(Alg25dConfig{shape, isqrt(nprocs / c), c},
                                   eopts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
-  algorithms.push_back(make_algorithm(
+  algorithms.push_back(AlgorithmInfo{
       "naive_bcast",
       [](const Shape&, i64) { return true; },
       [](const Shape& shape, i64 nprocs, const RunOptions& opts) {
         return run_naive_bcast(NaiveBcastConfig{shape}, nprocs, opts);
       },
-      /*bandwidth_optimal=*/false));
+      /*bandwidth_optimal=*/false});
 
   return algorithms;
 }

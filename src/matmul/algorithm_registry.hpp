@@ -20,10 +20,9 @@ struct AlgorithmInfo {
   /// True iff the algorithm can run this (shape, P) — e.g. SUMMA needs a
   /// square P, 2.5D needs P = g*g*c with c | g.
   std::function<bool(const Shape& shape, i64 nprocs)> supports;
-  /// Execute on the simulated machine (picks its own grid/config details).
-  std::function<RunReport(const Shape& shape, i64 nprocs, bool verify)> run;
-  /// Execute with full run options (verification mode, fault injection /
-  /// schedule perturbation, master seed) — the stress-sweep entry point.
+  /// Execute on the simulated machine with full run options (verification
+  /// mode, dtype, fault injection / schedule perturbation, master seed);
+  /// the entry picks its own grid/config details.
   std::function<RunReport(const Shape& shape, i64 nprocs,
                           const RunOptions& opts)>
       run_opts;

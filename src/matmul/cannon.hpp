@@ -19,24 +19,25 @@ struct CannonConfig {
   i64 g = 1;  ///< grid edge; machine size must be g*g
 };
 
-/// SPMD body for one rank; returns the rank's full C block.  Templated over
-/// the scalar (CAMB_FOR_EACH_SCALAR set); the default keeps legacy double
-/// call sites source-compatible.
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp); returns the rank's full C block.  One epoch
+/// boundary after every torus step: snapshots carry the held A/B blocks plus
+/// the C accumulator, so a restored rank rejoins the torus mid-rotation.
+template <typename T, typename Session>
+Block2DOutputT<T> cannon_body(Session& session, const CannonConfig& cfg);
+
+/// The body on the machine's own ranks (default scalar: double).
 template <typename T = double>
-Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg);
+Block2DOutputT<T> cannon_rank(RankCtx& ctx, const CannonConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return cannon_body<T>(session, cfg);
+}
 
 /// Exact predicted received words for `rank` (skew + 2(g−1) shifts; moves to
 /// self are free, matching the machine's accounting).
 i64 cannon_predicted_recv_words(const CannonConfig& cfg, int rank);
 
-/// Checkpointable twin of cannon_rank: epoch boundaries after every shift
-/// step; snapshots carry the held A/B blocks plus the C accumulator so a
-/// restored rank rejoins the torus mid-rotation.
-template <typename T>
-Block2DOutputT<T> cannon_ckpt_rank(ckpt::SessionT<T>& session,
-                                   const CannonConfig& cfg);
-
-/// Boundary steps the twin announces (one per torus step).
+/// Boundary steps the body announces (one per torus step).
 i64 cannon_ckpt_steps(const CannonConfig& cfg);
 /// Wire words of logical rank `logical`'s snapshot at boundary `step`.
 i64 cannon_ckpt_snapshot_words(const CannonConfig& cfg, int logical, i64 step);

@@ -26,9 +26,9 @@
 // letting the benches place CARMA's constants next to Algorithm 1's.
 #pragma once
 
-#include "collectives/rollback.hpp"
 #include "machine/machine.hpp"
 #include "matmul/distribution.hpp"
+#include "matmul/step_session.hpp"
 #include "util/matrix.hpp"
 
 namespace camb::mm {
@@ -46,11 +46,22 @@ struct CarmaRankOutputT {
 };
 using CarmaRankOutput = CarmaRankOutputT<double>;
 
-/// SPMD body for one rank (inputs generated in place at the root
-/// distribution, so all measured traffic is the algorithm's own).
-/// Templated over the scalar (CAMB_FOR_EACH_SCALAR set).
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp).  Inputs are generated in place at the root
+/// distribution, so all measured traffic is the algorithm's own.  One
+/// boundary per recursion level (snapshots carry the current A and B
+/// holdings); a resumed rank replays the skipped levels' split geometry and
+/// comm leases locally — no communication — so the unwind's combine frames
+/// are rebuilt exactly.
+template <typename T, typename Session>
+CarmaRankOutputT<T> carma_body(Session& session, const CarmaConfig& cfg);
+
+/// The body on the machine's own ranks (default scalar: double).
 template <typename T = double>
-CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg);
+CarmaRankOutputT<T> carma_rank(RankCtx& ctx, const CarmaConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return carma_body<T>(session, cfg);
+}
 
 /// Exact predicted received words per rank (replays the recursion).
 std::vector<i64> carma_predicted_recv_words(const CarmaConfig& cfg);
@@ -61,14 +72,6 @@ std::vector<char> carma_split_sequence(const CarmaConfig& cfg);
 
 /// True iff the configuration satisfies CARMA's divisibility requirements.
 bool carma_supported(const Shape& shape, int levels);
-
-/// Checkpointable twin: one boundary per recursion level (snapshots carry
-/// the current A and B holdings).  A resumed rank replays the skipped
-/// levels' split geometry and comm leases locally — no communication — so
-/// the unwind's combine frames are rebuilt exactly.
-template <typename T>
-CarmaRankOutputT<T> carma_ckpt_rank(ckpt::SessionT<T>& session,
-                                    const CarmaConfig& cfg);
 
 i64 carma_ckpt_steps(const CarmaConfig& cfg);
 i64 carma_ckpt_snapshot_words(const CarmaConfig& cfg, int logical, i64 step);

@@ -68,6 +68,18 @@ std::vector<int> GridMap::fiber(int axis, i64 q1, i64 q2, i64 q3) const {
   return out;
 }
 
+BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
+                      i64 ci) {
+  BlockChunk chunk;
+  chunk.row0 = rows.start(ri);
+  chunk.col0 = cols.start(ci);
+  chunk.rows = rows.size(ri);
+  chunk.cols = cols.size(ci);
+  chunk.flat_start = 0;
+  chunk.flat_size = chunk.rows * chunk.cols;
+  return chunk;
+}
+
 template <typename T>
 std::vector<T> fill_chunk_indexed(const BlockChunk& chunk) {
   std::vector<T> out(static_cast<std::size_t>(chunk.flat_size));

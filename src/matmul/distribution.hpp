@@ -78,6 +78,11 @@ struct BlockChunk {
   i64 block_size() const { return rows * cols; }
 };
 
+/// Block (ri, ci) of the (rows x cols) block grid, held whole by one rank:
+/// its flat range is the block's full extent.
+BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
+                      i64 ci);
+
 /// Fill a flat chunk of a block with the deterministic indexed pattern used
 /// for verification (matches Matrix<T>::fill_indexed on the full matrix: the
 /// same index-hash unit draw, mapped through ScalarTraits<T>::from_unit).

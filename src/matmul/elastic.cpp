@@ -214,7 +214,8 @@ struct SummaTraits {
     blk.row0 = d1.start(i);
     blk.col0 = d3.start(j);
     blk.block = Matrix<T>(d1.size(i), d3.size(j));
-    summa_stage_loop<T>(ctx, ncfg, my_row, my_col, i, j, a, b, blk.block);
+    PlainSession<T> session(ctx);
+    summa_stage_loop<T>(session, ncfg, my_row, my_col, i, j, a, b, blk.block);
     push_block_tile(blk, out);
   }
 };
@@ -259,8 +260,9 @@ struct Grid3dTraits {
     const coll::Comm f2 =
         coll::Comm::recovery(ctx, to_machine(map.fiber(2, q1, q2, q3)));
     const Grid3dLayout layout = grid3d_layout(ncfg, L);
-    Grid3dRankOutputT<T> res = grid3d_core<T>(ctx, ncfg, layout, f2, f0, f1,
-                                              std::move(a), std::move(b));
+    PlainSession<T> session(ctx);
+    Grid3dRankOutputT<T> res = grid3d_core<T>(
+        session, ncfg, layout, f2, f0, f1, std::move(a), std::move(b));
     push_chunk_tile(res.c_chunk, std::move(res.c_data), out);
   }
 };
@@ -301,18 +303,13 @@ struct Alg25dTraits {
         coll::Comm::recovery(ctx, to_machine(map.fiber(1, l, i, j)));
     const coll::Comm my_row =
         coll::Comm::recovery(ctx, to_machine(map.fiber(2, l, i, j)));
-    std::vector<T> c_sum = alg25d_core<T>(ctx, ncfg, i, j, l, depth, my_row,
-                                          my_col, std::move(a), std::move(b));
+    PlainSession<T> session(ctx);
+    std::vector<T> c_sum =
+        alg25d_core<T>(session, ncfg, i, j, l, depth, my_row, my_col,
+                       std::move(a), std::move(b));
     if (l != 0) return;
     const BlockDist1D d1(ncfg.shape.n1, ncfg.g), d3(ncfg.shape.n3, ncfg.g);
-    BlockChunk chunk;
-    chunk.row0 = d1.start(i);
-    chunk.col0 = d3.start(j);
-    chunk.rows = d1.size(i);
-    chunk.cols = d3.size(j);
-    chunk.flat_start = 0;
-    chunk.flat_size = chunk.rows * chunk.cols;
-    push_chunk_tile(chunk, std::move(c_sum), out);
+    push_chunk_tile(full_block(d1, i, d3, j), std::move(c_sum), out);
   }
 };
 

@@ -1,7 +1,8 @@
 #include "matmul/grid3d.hpp"
 
+#include <optional>
+
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
@@ -50,82 +51,79 @@ Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank) {
   return layout;
 }
 
-template <typename T>
-Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_core(Session& session, const Grid3dConfig& cfg,
                                  const Grid3dLayout& layout,
                                  const coll::Comm& fiber_a,
                                  const coll::Comm& fiber_b,
                                  const coll::Comm& fiber_c,
                                  std::vector<T> a_local,
                                  std::vector<T> b_local) {
-  // Line 3: All-Gather A across the fiber (q1, q2, :).
-  ctx.set_phase(kPhaseAllgatherA);
-  const camb::WorkingSet a_ws(ctx, layout.a.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  std::vector<T> a_flat =
-      coll::allgather(fiber_a, layout.a_counts, a_local, cfg.allgather);
-
-  // Line 4: All-Gather B across the fiber (:, q2, q3).
-  ctx.set_phase(kPhaseAllgatherB);
-  const camb::WorkingSet b_ws(ctx, layout.b.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  std::vector<T> b_flat =
-      coll::allgather(fiber_b, layout.b_counts, b_local, cfg.allgather);
-
-  // Line 6: local multiply D = A_{q1 q2} * B_{q2 q3}.
-  ctx.set_phase(kPhaseLocalGemm);
-  const camb::WorkingSet d_ws(ctx, layout.c.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  Matrix<T> a_block(layout.a.rows, layout.a.cols);
-  std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-  Matrix<T> b_block(layout.b.rows, layout.b.cols);
-  std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-  const Matrix<T> d_block = gemm(a_block, b_block);
-
-  // Line 8: Reduce-Scatter D across the fiber (q1, :, q3).
-  ctx.set_phase(kPhaseReduceScatterC);
-  std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
+  RankCtx& ctx = session.ctx();
+  const i64 elem_bytes = ScalarTraits<T>::elem_bytes;
+  const i64 t0 = session.resume_step();
+  std::vector<T> a_flat, b_flat;
   Grid3dRankOutputT<T> out;
   out.c_chunk = layout.c;
-  out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                    cfg.reduce_scatter);
-  CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
+  if (session.restored()) {
+    const SnapshotT<T>& snap = session.snapshot();
+    if (t0 >= 3) {
+      out.c_data = snap.bufs.at(0);  // a caller's later steps append after C
+    } else {
+      a_flat = snap.bufs.at(0);
+      if (t0 == 2) b_flat = snap.bufs.at(1);
+    }
+  }
+
+  // The gathered A and B blocks stay live through the reduce-scatter, the
+  // product D from the gemm on: nested working sets in the run scalar's
+  // width (a restored block is live from the resume on).
+  std::optional<camb::WorkingSet> a_ws, b_ws;
+  if (t0 < 3) a_ws.emplace(ctx, layout.a.block_size(), elem_bytes);
+  if (t0 < 1) {
+    // Line 3: All-Gather A across the fiber (q1, q2, :).
+    ctx.set_phase(kPhaseAllgatherA);
+    a_flat = coll::allgather(fiber_a, layout.a_counts, a_local, cfg.allgather);
+    session.boundary(1, [&] { return SnapshotT<T>{.bufs = {a_flat}}; });
+  }
+  if (t0 < 3) b_ws.emplace(ctx, layout.b.block_size(), elem_bytes);
+  if (t0 < 2) {
+    // Line 4: All-Gather B across the fiber (:, q2, q3).
+    ctx.set_phase(kPhaseAllgatherB);
+    b_flat = coll::allgather(fiber_b, layout.b_counts, b_local, cfg.allgather);
+    session.boundary(2,
+                     [&] { return SnapshotT<T>{.bufs = {a_flat, b_flat}}; });
+  }
+  if (t0 < 3) {
+    // Line 6: local multiply D = A_{q1 q2} * B_{q2 q3}.
+    ctx.set_phase(kPhaseLocalGemm);
+    const camb::WorkingSet d_ws(ctx, layout.c.block_size(), elem_bytes);
+    Matrix<T> a_block(layout.a.rows, layout.a.cols);
+    std::copy(a_flat.begin(), a_flat.end(), a_block.data());
+    Matrix<T> b_block(layout.b.rows, layout.b.cols);
+    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
+    const Matrix<T> d_block = gemm(a_block, b_block);
+
+    // Line 8: Reduce-Scatter D across the fiber (q1, :, q3).
+    ctx.set_phase(kPhaseReduceScatterC);
+    std::vector<T> d_flat(d_block.data(), d_block.data() + d_block.size());
+    out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
+                                      cfg.reduce_scatter);
+    CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
+    session.boundary(3, [&] { return SnapshotT<T>{.bufs = {out.c_data}}; });
+  }
   return out;
 }
 
-template <typename T>
-Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg) {
-  CAMB_CHECK_MSG(cfg.grid.total() == ctx.nprocs(),
-                 "grid size must equal the machine size");
-  const Grid3dLayout layout = grid3d_layout(cfg, ctx.rank());
-  const coll::GridComm grid(ctx, cfg.grid);
-
-  const auto fill = [&](const BlockChunk& chunk) {
-    return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
-                              : fill_chunk_indexed<T>(chunk);
-  };
-  return grid3d_core<T>(ctx, cfg, layout, grid.fiber(2), grid.fiber(0),
-                        grid.fiber(1), fill(layout.a), fill(layout.b));
-}
-
-#define CAMB_INSTANTIATE(T)                                                  \
-  template Grid3dRankOutputT<T> grid3d_core<T>(                              \
-      RankCtx&, const Grid3dConfig&, const Grid3dLayout&, const coll::Comm&, \
-      const coll::Comm&, const coll::Comm&, std::vector<T>, std::vector<T>); \
-  template Grid3dRankOutputT<T> grid3d_rank<T>(RankCtx&, const Grid3dConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Grid3dRankOutputT<T> grid3d_ckpt_rank(ckpt::SessionT<T>& session,
-                                      const Grid3dConfig& cfg) {
-  RankCtx& ctx = session.ctx();
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg) {
   CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
-                 "grid size must equal the logical machine size");
+                 "grid size must equal the machine size");
   const int me = session.rank();
   const Grid3dLayout layout = grid3d_layout(cfg, me);
   const GridMap map(cfg.grid);
   const auto [q1, q2, q3] = map.coords_of(me);
+  // The three fibers in axis order, as coll::GridComm builds them.
   const coll::Comm fiber_b = session.comm(map.fiber(0, q1, q2, q3));
   const coll::Comm fiber_c = session.comm(map.fiber(1, q1, q2, q3));
   const coll::Comm fiber_a = session.comm(map.fiber(2, q1, q2, q3));
@@ -134,68 +132,20 @@ Grid3dRankOutputT<T> grid3d_ckpt_rank(ckpt::SessionT<T>& session,
     return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
                               : fill_chunk_indexed<T>(chunk);
   };
-
-  const i64 t0 = session.resume_step();
-  std::vector<T> a_flat, b_flat;
-  Grid3dRankOutputT<T> out;
-  out.c_chunk = layout.c;
-  if (session.restored()) {
-    const SnapshotT<T>& snap = session.snapshot();
-    if (t0 == 1) {
-      a_flat = snap.bufs.at(0);
-    } else if (t0 == 2) {
-      a_flat = snap.bufs.at(0);
-      b_flat = snap.bufs.at(1);
-    } else {
-      CAMB_CHECK(t0 == 3);
-      out.c_data = snap.bufs.at(0);
-    }
-  }
-
-  for (i64 step = t0; step < 3; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherA);
-      const camb::WorkingSet a_ws(ctx, layout.a.block_size());
-      a_flat = coll::allgather(fiber_a, layout.a_counts, fill(layout.a),
-                               cfg.allgather);
-    } else if (step == 1) {
-      ctx.set_phase(kPhaseAllgatherB);
-      const camb::WorkingSet b_ws(ctx, layout.b.block_size());
-      b_flat = coll::allgather(fiber_b, layout.b_counts, fill(layout.b),
-                               cfg.allgather);
-    } else {
-      ctx.set_phase(kPhaseLocalGemm);
-      const camb::WorkingSet d_ws(ctx, layout.c.block_size());
-      Matrix<T> a_block(layout.a.rows, layout.a.cols);
-      std::copy(a_flat.begin(), a_flat.end(), a_block.data());
-      Matrix<T> b_block(layout.b.rows, layout.b.cols);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-      const Matrix<T> d_block = gemm(a_block, b_block);
-      ctx.set_phase(kPhaseReduceScatterC);
-      std::vector<T> d_flat(d_block.data(),
-                            d_block.data() + d_block.size());
-      out.c_data = coll::reduce_scatter(fiber_c, layout.c_counts, d_flat,
-                                        cfg.reduce_scatter);
-      CAMB_CHECK(static_cast<i64>(out.c_data.size()) == layout.c.flat_size);
-    }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      if (step == 0) {
-        snap.bufs = {a_flat};
-      } else if (step == 1) {
-        snap.bufs = {a_flat, b_flat};
-      } else {
-        snap.bufs = {out.c_data};
-      }
-      return snap;
-    });
-  }
-  return out;
+  return grid3d_core<T>(session, cfg, layout, fiber_a, fiber_b, fiber_c,
+                        fill(layout.a), fill(layout.b));
 }
 
-#define CAMB_INSTANTIATE(T)                          \
-  template Grid3dRankOutputT<T> grid3d_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const Grid3dConfig&);
+#define CAMB_INSTANTIATE(T)                                                  \
+  CAMB_INSTANTIATE_BODY(T, Grid3dRankOutputT<T>, grid3d_body, Grid3dConfig)  \
+  template Grid3dRankOutputT<T> grid3d_core<T, PlainSession<T>>(             \
+      PlainSession<T>&, const Grid3dConfig&, const Grid3dLayout&,            \
+      const coll::Comm&, const coll::Comm&, const coll::Comm&,               \
+      std::vector<T>, std::vector<T>);                                       \
+  template Grid3dRankOutputT<T> grid3d_core<T, ckpt::SessionT<T>>(           \
+      ckpt::SessionT<T>&, const Grid3dConfig&, const Grid3dLayout&,          \
+      const coll::Comm&, const coll::Comm&, const coll::Comm&,               \
+      std::vector<T>, std::vector<T>);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

@@ -14,8 +14,8 @@
 
 #include "collectives/allgather.hpp"
 #include "collectives/reduce_scatter.hpp"
-#include "collectives/rollback.hpp"
 #include "matmul/distribution.hpp"
+#include "matmul/step_session.hpp"
 #include "util/matrix.hpp"
 
 namespace camb::mm {
@@ -48,21 +48,33 @@ struct Grid3dLayout {
 /// Computes the data layout of `rank` under the configuration.
 Grid3dLayout grid3d_layout(const Grid3dConfig& cfg, int rank);
 
-/// SPMD body of Algorithm 1 for one rank.  Inputs are generated locally with
-/// the deterministic indexed pattern (no distribution traffic), so all
-/// measured communication is the algorithm's own.  Templated over the
-/// scalar (CAMB_FOR_EACH_SCALAR set); the default keeps legacy double call
-/// sites source-compatible.
-template <typename T = double>
-Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg);
+/// SPMD body of Algorithm 1 for one rank, written once against a step
+/// session (matmul/step_session.hpp): epoch boundaries after the A
+/// all-gather, the B all-gather, and the gemm + reduce-scatter.  Inputs are
+/// generated locally with the deterministic indexed pattern (no
+/// distribution traffic), so all measured communication is the algorithm's
+/// own.  Instantiated for PlainSession<T> and ckpt::SessionT<T> over the
+/// CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_body(Session& session, const Grid3dConfig& cfg);
 
-/// The four-step body of Algorithm 1 parameterized by its three fiber comms
+/// The body on the machine's own ranks; the default scalar keeps legacy
+/// double call sites source-compatible.
+template <typename T = double>
+Grid3dRankOutputT<T> grid3d_rank(RankCtx& ctx, const Grid3dConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return grid3d_body<T>(session, cfg);
+}
+
+/// The stepped body of Algorithm 1 parameterized by its three fiber comms
 /// and pre-filled local chunks, so the same code runs on the world grid
-/// (grid3d_rank) and on a survivors' recovery grid (the elastic twin).
+/// (grid3d_body) and on a survivors' recovery grid (the elastic twin).
 /// `layout` must be this rank's logical layout; `fiber_a` is the comm of
 /// the (q1, q2, :) fiber, `fiber_b` of (:, q2, q3), `fiber_c` of (q1, :, q3).
-template <typename T>
-Grid3dRankOutputT<T> grid3d_core(RankCtx& ctx, const Grid3dConfig& cfg,
+/// Instantiated for both sessions (the ABFT checkpoint twin runs it as its
+/// first three steps).
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_core(Session& session, const Grid3dConfig& cfg,
                                  const Grid3dLayout& layout,
                                  const coll::Comm& fiber_a,
                                  const coll::Comm& fiber_b,
@@ -76,12 +88,6 @@ i64 grid3d_predicted_recv_words(const Grid3dConfig& cfg, int rank);
 
 /// Max of grid3d_predicted_recv_words over all ranks.
 i64 grid3d_predicted_critical_recv_words(const Grid3dConfig& cfg);
-
-/// Checkpointable twin: boundaries after the A all-gather, the B all-gather,
-/// and the gemm + reduce-scatter.
-template <typename T>
-Grid3dRankOutputT<T> grid3d_ckpt_rank(ckpt::SessionT<T>& session,
-                                      const Grid3dConfig& cfg);
 
 i64 grid3d_ckpt_steps(const Grid3dConfig& cfg);
 i64 grid3d_ckpt_snapshot_words(const Grid3dConfig& cfg, int logical, i64 step);

@@ -27,21 +27,25 @@ struct Grid3dAgarwalConfig {
   coll::AlltoallAlgo alltoall = coll::AlltoallAlgo::kPairwise;
 };
 
-/// SPMD body for one rank; same data layout and output ownership as
-/// Algorithm 1 (grid3d_layout applies unchanged).
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp): boundaries after the A all-gather, the B
+/// all-gather, and the gemm + all-to-all + local sum.  Same data layout and
+/// output ownership as Algorithm 1 (grid3d_layout applies unchanged).
+template <typename T, typename Session>
+Grid3dRankOutputT<T> grid3d_agarwal_body(Session& session,
+                                         const Grid3dAgarwalConfig& cfg);
+
+/// The body on the machine's own ranks (default scalar: double).
 template <typename T = double>
 Grid3dRankOutputT<T> grid3d_agarwal_rank(RankCtx& ctx,
-                                         const Grid3dAgarwalConfig& cfg);
+                                         const Grid3dAgarwalConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return grid3d_agarwal_body<T>(session, cfg);
+}
 
 /// Exact predicted received words for `rank`.
 i64 grid3d_agarwal_predicted_recv_words(const Grid3dAgarwalConfig& cfg,
                                         int rank);
-
-/// Checkpointable twin: boundaries after the A all-gather, the B all-gather,
-/// and the gemm + all-to-all + local sum.
-template <typename T>
-Grid3dRankOutputT<T> grid3d_agarwal_ckpt_rank(ckpt::SessionT<T>& session,
-                                          const Grid3dAgarwalConfig& cfg);
 
 i64 grid3d_agarwal_ckpt_steps(const Grid3dAgarwalConfig& cfg);
 i64 grid3d_agarwal_ckpt_snapshot_words(const Grid3dAgarwalConfig& cfg,

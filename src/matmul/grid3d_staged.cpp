@@ -1,7 +1,6 @@
 #include "matmul/grid3d_staged.hpp"
 
 #include "collectives/coll_cost.hpp"
-#include "collectives/grid_comm.hpp"
 #include "core/cost_eq3.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
@@ -25,108 +24,22 @@ std::vector<i64> overlap_counts(const BlockDist1D& fiber_split, i64 lo, i64 hi) 
 
 }  // namespace
 
-template <typename T>
-Grid3dStagedRankOutputT<T> grid3d_staged_rank(RankCtx& ctx,
+template <typename T, typename Session>
+Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
                                               const Grid3dStagedConfig& cfg) {
-  CAMB_CHECK_MSG(cfg.stages >= 1, "stages must be >= 1");
-  CAMB_CHECK_MSG(cfg.grid.total() == ctx.nprocs(),
-                 "grid size must equal the machine size");
-  const GridMap map(cfg.grid);
-  const auto [q1, q2, q3] = map.coords_of(ctx.rank());
-  (void)q1;
-  const Grid3dConfig base{cfg.shape, cfg.grid, cfg.allgather,
-                          cfg.reduce_scatter};
-  const Grid3dLayout layout = grid3d_layout(base, ctx.rank());
-  // Every stage runs one collective per fiber; size the fiber leases to the
-  // stage count so deep stagings never exhaust them.
-  const int fiber_blocks =
-      std::max(coll::Comm::kDefaultTagBlocks, static_cast<int>(cfg.stages) + 1);
-  const coll::GridComm grid(ctx, cfg.grid, fiber_blocks);
-
-  // B is gathered once, up front, exactly as in the unstaged algorithm.
-  ctx.set_phase(kPhaseAllgatherB);
-  const camb::WorkingSet b_ws(ctx, layout.b.block_size(),
-                              ScalarTraits<T>::elem_bytes);
-  std::vector<T> b_flat = coll::allgather(
-      grid.fiber(0), layout.b_counts, fill_chunk_indexed<T>(layout.b),
-      cfg.allgather);
-  Matrix<T> b_block(layout.b.rows, layout.b.cols);
-  std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-
-  const BlockDist1D a_fiber_split(layout.a.block_size(), cfg.grid.p3);
-  const BlockDist1D strips(layout.a.rows, cfg.stages);
-
-  Grid3dStagedRankOutputT<T> out;
-  out.c_chunks.reserve(static_cast<std::size_t>(cfg.stages));
-  out.c_data.reserve(static_cast<std::size_t>(cfg.stages));
-
-  for (i64 stage = 0; stage < cfg.stages; ++stage) {
-    // Stage strip: rows [r0, r1) of the local A block (and of D).
-    const i64 r0 = strips.start(stage);
-    const i64 r1 = strips.end(stage);
-    const i64 lo = r0 * layout.a.cols;
-    const i64 hi = r1 * layout.a.cols;
-
-    // All-Gather only this strip of A (+ its strip of D below): the staged
-    // working set this variant exists to shrink.
-    ctx.set_phase(kPhaseAllgatherA);
-    const camb::WorkingSet strip_ws(
-        ctx, (hi - lo) + (r1 - r0) * layout.c.cols,
-        ScalarTraits<T>::elem_bytes);
-    const std::vector<i64> counts = overlap_counts(a_fiber_split, lo, hi);
-    BlockChunk my_piece = layout.a;
-    my_piece.flat_start = std::max(lo, a_fiber_split.start(q3));
-    my_piece.flat_size = counts[static_cast<std::size_t>(q3)];
-    std::vector<T> strip_flat = coll::allgather(
-        grid.fiber(2), counts, fill_chunk_indexed<T>(my_piece), cfg.allgather);
-    CAMB_CHECK(static_cast<i64>(strip_flat.size()) == hi - lo);
-
-    // Multiply the strip against the full B block.
-    ctx.set_phase(kPhaseLocalGemm);
-    Matrix<T> a_strip(r1 - r0, layout.a.cols);
-    std::copy(strip_flat.begin(), strip_flat.end(), a_strip.data());
-    const Matrix<T> d_strip = gemm(a_strip, b_block);
-
-    // Reduce-Scatter this strip of D across the p2 fiber immediately.
-    ctx.set_phase(kPhaseReduceScatterC);
-    const BlockDist1D seg(d_strip.size(), cfg.grid.p2);
-    std::vector<T> d_flat(d_strip.data(),
-                          d_strip.data() + d_strip.size());
-    std::vector<T> owned = coll::reduce_scatter(
-        grid.fiber(1), seg.counts(), d_flat, cfg.reduce_scatter);
-
-    BlockChunk c_chunk;
-    c_chunk.row0 = layout.c.row0;
-    c_chunk.col0 = layout.c.col0;
-    c_chunk.rows = layout.c.rows;
-    c_chunk.cols = layout.c.cols;
-    c_chunk.flat_start = r0 * layout.c.cols + seg.start(q2);
-    c_chunk.flat_size = seg.size(q2);
-    out.c_chunks.push_back(c_chunk);
-    out.c_data.push_back(std::move(owned));
-  }
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                          \
-  template Grid3dStagedRankOutputT<T> grid3d_staged_rank<T>( \
-      RankCtx&, const Grid3dStagedConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Grid3dStagedRankOutputT<T> grid3d_staged_ckpt_rank(
-    ckpt::SessionT<T>& session, const Grid3dStagedConfig& cfg) {
   RankCtx& ctx = session.ctx();
   CAMB_CHECK_MSG(cfg.stages >= 1, "stages must be >= 1");
   CAMB_CHECK_MSG(cfg.grid.total() == session.nprocs(),
-                 "grid size must equal the logical machine size");
+                 "grid size must equal the machine size");
   const int me = session.rank();
   const GridMap map(cfg.grid);
   const auto [q1, q2, q3] = map.coords_of(me);
   const Grid3dConfig base{cfg.shape, cfg.grid, cfg.allgather,
                           cfg.reduce_scatter};
   const Grid3dLayout layout = grid3d_layout(base, me);
+  // Every stage runs one collective per fiber; size the fiber leases to the
+  // stage count so deep stagings never exhaust them.  Axis order, as
+  // coll::GridComm builds them.
   const int fiber_blocks =
       std::max(coll::Comm::kDefaultTagBlocks, static_cast<int>(cfg.stages) + 1);
   const coll::Comm fiber_b =
@@ -138,89 +51,94 @@ Grid3dStagedRankOutputT<T> grid3d_staged_ckpt_rank(
 
   const BlockDist1D a_fiber_split(layout.a.block_size(), cfg.grid.p3);
   const BlockDist1D strips(layout.a.rows, cfg.stages);
-
-  std::vector<T> b_flat;
-  Matrix<T> b_block(layout.b.rows, layout.b.cols);
-  Grid3dStagedRankOutputT<T> out;
-
-  auto chunk_of_stage = [&](i64 stage) {
+  // The C piece a stage leaves on this rank: its strip of D, split across
+  // the p2 fiber independently of the other stages.
+  const auto chunk_of_stage = [&](i64 stage) {
     const i64 r0 = strips.start(stage);
     const BlockDist1D seg((strips.end(stage) - r0) * layout.c.cols,
                           cfg.grid.p2);
-    BlockChunk c_chunk;
-    c_chunk.row0 = layout.c.row0;
-    c_chunk.col0 = layout.c.col0;
-    c_chunk.rows = layout.c.rows;
-    c_chunk.cols = layout.c.cols;
+    BlockChunk c_chunk = layout.c;
     c_chunk.flat_start = r0 * layout.c.cols + seg.start(q2);
     c_chunk.flat_size = seg.size(q2);
     return c_chunk;
   };
 
+  std::vector<T> b_flat;
+  Grid3dStagedRankOutputT<T> out;
+  out.c_chunks.reserve(static_cast<std::size_t>(cfg.stages));
+  out.c_data.reserve(static_cast<std::size_t>(cfg.stages));
   const i64 t0 = session.resume_step();
   if (session.restored()) {
     const SnapshotT<T>& snap = session.snapshot();
     CAMB_CHECK(static_cast<i64>(snap.bufs.size()) == t0);
     b_flat = snap.bufs.at(0);
-    std::copy(b_flat.begin(), b_flat.end(), b_block.data());
     for (i64 stage = 0; stage + 1 < t0; ++stage) {
       out.c_chunks.push_back(chunk_of_stage(stage));
       out.c_data.push_back(snap.bufs.at(static_cast<std::size_t>(stage + 1)));
     }
   }
+  const auto snapshot = [&] {
+    SnapshotT<T> snap;
+    snap.bufs.push_back(b_flat);
+    for (const auto& owned : out.c_data) snap.bufs.push_back(owned);
+    return snap;
+  };
 
-  for (i64 step = t0; step < cfg.stages + 1; ++step) {
-    if (step == 0) {
-      ctx.set_phase(kPhaseAllgatherB);
-      const camb::WorkingSet b_ws(ctx, layout.b.block_size());
-      b_flat = coll::allgather(fiber_b, layout.b_counts,
-                               fill_chunk_indexed<T>(layout.b),
-                               cfg.allgather);
-      std::copy(b_flat.begin(), b_flat.end(), b_block.data());
-    } else {
-      const i64 stage = step - 1;
-      const i64 r0 = strips.start(stage);
-      const i64 r1 = strips.end(stage);
-      const i64 lo = r0 * layout.a.cols;
-      const i64 hi = r1 * layout.a.cols;
+  // B is gathered once, up front, exactly as in the unstaged algorithm, and
+  // stays live for every stage.
+  const camb::WorkingSet b_ws(ctx, layout.b.block_size(),
+                              ScalarTraits<T>::elem_bytes);
+  if (t0 < 1) {
+    ctx.set_phase(kPhaseAllgatherB);
+    b_flat = coll::allgather(fiber_b, layout.b_counts,
+                             fill_chunk_indexed<T>(layout.b), cfg.allgather);
+    session.boundary(1, snapshot);
+  }
+  Matrix<T> b_block(layout.b.rows, layout.b.cols);
+  std::copy(b_flat.begin(), b_flat.end(), b_block.data());
 
-      ctx.set_phase(kPhaseAllgatherA);
-      const camb::WorkingSet strip_ws(
-          ctx, (hi - lo) + (r1 - r0) * layout.c.cols);
-      const std::vector<i64> counts = overlap_counts(a_fiber_split, lo, hi);
-      BlockChunk my_piece = layout.a;
-      my_piece.flat_start = std::max(lo, a_fiber_split.start(q3));
-      my_piece.flat_size = counts[static_cast<std::size_t>(q3)];
-      std::vector<T> strip_flat = coll::allgather(
-          fiber_a, counts, fill_chunk_indexed<T>(my_piece), cfg.allgather);
-      CAMB_CHECK(static_cast<i64>(strip_flat.size()) == hi - lo);
+  for (i64 stage = std::max<i64>(t0, 1) - 1; stage < cfg.stages; ++stage) {
+    // Stage strip: rows [r0, r1) of the local A block (and of D).
+    const i64 r0 = strips.start(stage);
+    const i64 r1 = strips.end(stage);
+    const i64 lo = r0 * layout.a.cols;
+    const i64 hi = r1 * layout.a.cols;
 
-      ctx.set_phase(kPhaseLocalGemm);
-      Matrix<T> a_strip(r1 - r0, layout.a.cols);
-      std::copy(strip_flat.begin(), strip_flat.end(), a_strip.data());
-      const Matrix<T> d_strip = gemm(a_strip, b_block);
+    // All-Gather only this strip of A (+ its strip of D below): the staged
+    // working set this variant exists to shrink.
+    ctx.set_phase(kPhaseAllgatherA);
+    const camb::WorkingSet strip_ws(ctx, (hi - lo) + (r1 - r0) * layout.c.cols,
+                                    ScalarTraits<T>::elem_bytes);
+    const std::vector<i64> counts = overlap_counts(a_fiber_split, lo, hi);
+    BlockChunk my_piece = layout.a;
+    my_piece.flat_start = std::max(lo, a_fiber_split.start(q3));
+    my_piece.flat_size = counts[static_cast<std::size_t>(q3)];
+    std::vector<T> strip_flat = coll::allgather(
+        fiber_a, counts, fill_chunk_indexed<T>(my_piece), cfg.allgather);
+    CAMB_CHECK(static_cast<i64>(strip_flat.size()) == hi - lo);
 
-      ctx.set_phase(kPhaseReduceScatterC);
-      const BlockDist1D seg(d_strip.size(), cfg.grid.p2);
-      std::vector<T> d_flat(d_strip.data(), d_strip.data() + d_strip.size());
-      std::vector<T> owned = coll::reduce_scatter(
-          fiber_c, seg.counts(), d_flat, cfg.reduce_scatter);
-      out.c_chunks.push_back(chunk_of_stage(stage));
-      out.c_data.push_back(std::move(owned));
-    }
-    session.boundary(step + 1, [&] {
-      SnapshotT<T> snap;
-      snap.bufs.push_back(b_flat);
-      for (const auto& owned : out.c_data) snap.bufs.push_back(owned);
-      return snap;
-    });
+    // Multiply the strip against the full B block.
+    ctx.set_phase(kPhaseLocalGemm);
+    Matrix<T> a_strip(r1 - r0, layout.a.cols);
+    std::copy(strip_flat.begin(), strip_flat.end(), a_strip.data());
+    const Matrix<T> d_strip = gemm(a_strip, b_block);
+
+    // Reduce-Scatter this strip of D across the p2 fiber immediately.
+    ctx.set_phase(kPhaseReduceScatterC);
+    const BlockDist1D seg(d_strip.size(), cfg.grid.p2);
+    std::vector<T> d_flat(d_strip.data(), d_strip.data() + d_strip.size());
+    std::vector<T> owned = coll::reduce_scatter(fiber_c, seg.counts(), d_flat,
+                                                cfg.reduce_scatter);
+    out.c_chunks.push_back(chunk_of_stage(stage));
+    out.c_data.push_back(std::move(owned));
+    session.boundary(stage + 2, snapshot);
   }
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                                      \
-  template Grid3dStagedRankOutputT<T> grid3d_staged_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const Grid3dStagedConfig&);
+#define CAMB_INSTANTIATE(T)                                              \
+  CAMB_INSTANTIATE_BODY(T, Grid3dStagedRankOutputT<T>, grid3d_staged_body, \
+                        Grid3dStagedConfig)
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

@@ -40,11 +40,21 @@ struct Grid3dStagedRankOutputT {
 };
 using Grid3dStagedRankOutput = Grid3dStagedRankOutputT<double>;
 
-/// SPMD body for one rank.  Templated over the scalar
-/// (CAMB_FOR_EACH_SCALAR set).
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp): one boundary after the up-front B all-gather,
+/// then one per stage (snapshots carry B plus every completed stage's C
+/// piece).
+template <typename T, typename Session>
+Grid3dStagedRankOutputT<T> grid3d_staged_body(Session& session,
+                                              const Grid3dStagedConfig& cfg);
+
+/// The body on the machine's own ranks (default scalar: double).
 template <typename T = double>
 Grid3dStagedRankOutputT<T> grid3d_staged_rank(RankCtx& ctx,
-                                              const Grid3dStagedConfig& cfg);
+                                              const Grid3dStagedConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return grid3d_staged_body<T>(session, cfg);
+}
 
 /// Exact predicted received words for `rank` (equals the unstaged total up
 /// to the near-equal rounding of strip boundaries).
@@ -57,12 +67,6 @@ double grid3d_staged_peak_memory_words(const Grid3dStagedConfig& cfg);
 
 /// Message count per rank along the critical path (the latency price).
 i64 grid3d_staged_messages(const Grid3dStagedConfig& cfg, int rank);
-
-/// Checkpointable twin: one boundary after the up-front B all-gather, then
-/// one per stage (snapshots carry B plus every completed stage's C piece).
-template <typename T>
-Grid3dStagedRankOutputT<T> grid3d_staged_ckpt_rank(ckpt::SessionT<T>& session,
-                                               const Grid3dStagedConfig& cfg);
 
 i64 grid3d_staged_ckpt_steps(const Grid3dStagedConfig& cfg);
 i64 grid3d_staged_ckpt_snapshot_words(const Grid3dStagedConfig& cfg,

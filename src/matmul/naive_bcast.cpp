@@ -1,5 +1,7 @@
 #include "matmul/naive_bcast.hpp"
 
+#include <numeric>
+
 #include "collectives/bcast.hpp"
 #include "collectives/coll_cost.hpp"
 #include "collectives/comm.hpp"
@@ -10,66 +12,15 @@
 
 namespace camb::mm {
 
-template <typename T>
-Block2DOutputT<T> naive_bcast_rank(RankCtx& ctx, const NaiveBcastConfig& cfg) {
-  const int p = ctx.nprocs();
-  const int me = ctx.rank();
-  const coll::Comm world = coll::Comm::world(ctx);
-  const Shape& s = cfg.shape;
-
-  // Rank 0 materializes both inputs; everyone receives full copies.
-  ctx.set_phase(kPhaseNaiveBcast);
-  std::vector<T> a_flat, b_flat;
-  if (me == 0) {
-    BlockChunk a_all{0, 0, s.n1, s.n2, 0, s.size_a()};
-    BlockChunk b_all{0, 0, s.n2, s.n3, 0, s.size_b()};
-    a_flat = fill_chunk_indexed<T>(a_all);
-    b_flat = fill_chunk_indexed<T>(b_all);
-  }
-  coll::bcast(world, 0, a_flat, s.size_a());
-  coll::bcast(world, 0, b_flat, s.size_b());
-
-  // Each rank computes its row slice of C.
-  ctx.set_phase(kPhaseNaiveGemm);
-  const BlockDist1D rows(s.n1, p);
-  Matrix<T> a_mine(rows.size(me), s.n2);
-  std::copy(a_flat.begin() + rows.start(me) * s.n2,
-            a_flat.begin() + rows.end(me) * s.n2, a_mine.data());
-  Matrix<T> b_full(s.n2, s.n3);
-  std::copy(b_flat.begin(), b_flat.end(), b_full.data());
-  Matrix<T> c_slice = gemm(a_mine, b_full);
-
-  // Gather the slices onto rank 0 (the "one copy of the output" finale).
-  ctx.set_phase(kPhaseNaiveGather);
-  std::vector<i64> counts(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    counts[static_cast<std::size_t>(r)] = rows.size(r) * s.n3;
-  }
-  std::vector<T> c_flat(c_slice.data(), c_slice.data() + c_slice.size());
-  coll::gather(world, 0, counts, c_flat);
-
-  Block2DOutputT<T> out;
-  out.row0 = rows.start(me);
-  out.col0 = 0;
-  out.block = std::move(c_slice);
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                  \
-  template Block2DOutputT<T> naive_bcast_rank<T>(RankCtx&, \
-                                                 const NaiveBcastConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
-                                        const NaiveBcastConfig& cfg) {
+template <typename T, typename Session>
+Block2DOutputT<T> naive_bcast_body(Session& session,
+                                   const NaiveBcastConfig& cfg) {
   RankCtx& ctx = session.ctx();
   const int p = session.nprocs();
   const int me = session.rank();
   std::vector<int> everyone(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) everyone[static_cast<std::size_t>(r)] = r;
-  const coll::Comm world = session.comm(everyone);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  const coll::Comm world = session.comm(std::move(everyone));
   const Shape& s = cfg.shape;
   const BlockDist1D rows(s.n1, p);
 
@@ -90,6 +41,7 @@ Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
 
   for (i64 step = t0; step < 3; ++step) {
     if (step == 0) {
+      // Rank 0 materializes both inputs; everyone receives full copies.
       ctx.set_phase(kPhaseNaiveBcast);
       if (me == 0) {
         BlockChunk a_all{0, 0, s.n1, s.n2, 0, s.size_a()};
@@ -104,13 +56,14 @@ Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
       }
       coll::bcast(world, 0, b_flat, s.size_b());
     } else {
+      // Each rank computes its row slice of C.
       ctx.set_phase(kPhaseNaiveGemm);
       Matrix<T> a_mine(rows.size(me), s.n2);
       std::copy(a_flat.begin() + rows.start(me) * s.n2,
                 a_flat.begin() + rows.end(me) * s.n2, a_mine.data());
       Matrix<T> b_full(s.n2, s.n3);
       std::copy(b_flat.begin(), b_flat.end(), b_full.data());
-      Matrix<T> c_slice = gemm(a_mine, b_full);
+      const Matrix<T> c_slice = gemm(a_mine, b_full);
       c_flat.assign(c_slice.data(), c_slice.data() + c_slice.size());
     }
     session.boundary(step + 1, [&] {
@@ -133,6 +86,7 @@ Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
   CAMB_CHECK(static_cast<i64>(c_flat.size()) == out.block.size());
   std::copy(c_flat.begin(), c_flat.end(), out.block.data());
 
+  // Gather the slices onto rank 0 (the "one copy of the output" finale).
   ctx.set_phase(kPhaseNaiveGather);
   std::vector<i64> counts(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
@@ -142,9 +96,9 @@ Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                            \
-  template Block2DOutputT<T> naive_bcast_ckpt_rank<T>( \
-      ckpt::SessionT<T>&, const NaiveBcastConfig&);
+#define CAMB_INSTANTIATE(T)                                            \
+  CAMB_INSTANTIATE_BODY(T, Block2DOutputT<T>, naive_bcast_body,         \
+                        NaiveBcastConfig)
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

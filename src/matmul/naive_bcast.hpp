@@ -17,21 +17,25 @@ struct NaiveBcastConfig {
   Shape shape;
 };
 
-/// SPMD body; returns rank's C row-slice (all ranks return their slice; the
-/// runner reassembles, mirroring the final gather onto rank 0).  Templated
-/// over the scalar (CAMB_FOR_EACH_SCALAR set).
+/// SPMD body, written once against a step session
+/// (matmul/step_session.hpp): three boundary steps (A broadcast, B
+/// broadcast, local gemm) followed by the un-checkpointed gather epilogue.
+/// Returns the rank's C row-slice (all ranks return their slice; the runner
+/// reassembles, mirroring the final gather onto rank 0).
+template <typename T, typename Session>
+Block2DOutputT<T> naive_bcast_body(Session& session,
+                                   const NaiveBcastConfig& cfg);
+
+/// The body on the machine's own ranks (default scalar: double).
 template <typename T = double>
-Block2DOutputT<T> naive_bcast_rank(RankCtx& ctx, const NaiveBcastConfig& cfg);
+Block2DOutputT<T> naive_bcast_rank(RankCtx& ctx, const NaiveBcastConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return naive_bcast_body<T>(session, cfg);
+}
 
 /// Exact predicted received words for `rank`.
 i64 naive_bcast_predicted_recv_words(const NaiveBcastConfig& cfg, int rank,
                                      int nprocs);
-
-/// Checkpointable twin: three boundary steps (A broadcast, B broadcast,
-/// local gemm) followed by the un-checkpointed gather epilogue.
-template <typename T>
-Block2DOutputT<T> naive_bcast_ckpt_rank(ckpt::SessionT<T>& session,
-                                    const NaiveBcastConfig& cfg);
 
 i64 naive_bcast_ckpt_steps(const NaiveBcastConfig& cfg);
 i64 naive_bcast_ckpt_snapshot_words(const NaiveBcastConfig& cfg, int logical,

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <type_traits>
 
@@ -198,15 +201,6 @@ void place_chunk(Matrix<T>& global, const BlockChunk& chunk,
   }
 }
 
-RunOptions options_from(bool verify) {
-  return RunOptions::verified(verify ? VerifyMode::kReference
-                                     : VerifyMode::kNone);
-}
-
-}  // namespace
-
-namespace {
-
 void list_ranks(std::ostringstream& out, const std::vector<int>& ranks) {
   out << "[";
   for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -364,17 +358,74 @@ double check_result(const Shape& shape, const MatrixD& assembled,
 
 namespace {
 
+// ---- Output placement: one overload per rank-output type ----------------
+// Crashed ranks hold default-constructed outputs (the body never returned),
+// which place nothing, so assembly needs no crash bookkeeping.
+
 template <typename T>
-void place_block(Matrix<T>& global, const Block2DOutputT<T>& out) {
+void place_output(Matrix<T>& c, const Block2DOutputT<T>& out) {
   for (i64 i = 0; i < out.block.rows(); ++i) {
     for (i64 j = 0; j < out.block.cols(); ++j) {
-      global(out.row0 + i, out.col0 + j) = out.block(i, j);
+      c(out.row0 + i, out.col0 + j) = out.block(i, j);
     }
+  }
+}
+
+template <typename T>
+void place_output(Matrix<T>& c, const Grid3dRankOutputT<T>& out) {
+  place_chunk<T>(c, out.c_chunk, out.c_data);
+}
+
+template <typename T>
+void place_output(Matrix<T>& c, const CarmaRankOutputT<T>& out) {
+  place_chunk<T>(c, out.holding, out.data);
+}
+
+template <typename T>
+void place_output(Matrix<T>& c, const Grid3dStagedRankOutputT<T>& out) {
+  for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
+    place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
+  }
+}
+
+/// Retiree attempt-0 tiles and recovery-round tiles overlap bit-identically,
+/// so placement order does not matter.
+template <typename T>
+void place_output(Matrix<T>& c, const ElasticRankOutputT<T>& out) {
+  for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
+    place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
+  }
+}
+
+/// ABFT outputs: the own tile plus any dead peer's reconstructed tile.
+template <typename T>
+void place_output(Matrix<T>& c, const SummaAbftOutputT<T>& out) {
+  place_output<T>(c, out.own);
+  for (const RecoveredBlock2DT<T>& rec : out.recovered) {
+    place_output<T>(c, rec.out);
+  }
+}
+
+template <typename T>
+void place_output(Matrix<T>& c, const Grid3dAbftOutputT<T>& out) {
+  place_output<T>(c, out.own);
+  for (const RecoveredChunk3DT<T>& rec : out.recovered) {
+    place_chunk<T>(c, rec.c_chunk, rec.c_data);
   }
 }
 
 bool contains(const std::vector<int>& ranks, int r) {
   return std::find(ranks.begin(), ranks.end(), r) != ranks.end();
+}
+
+/// The Theorem 3 bound for (shape, P), scaled into the run's words: the
+/// theory counts elements, the machine counts 8-byte words.
+double lower_bound_for(const Shape& shape, i64 nprocs,
+                       const RunOptions& opts) {
+  return camb::core::memory_independent_bound(shape,
+                                              static_cast<double>(nprocs))
+             .words *
+         dtype_width_words(opts.dtype);
 }
 
 /// Commit tax of a clean checkpointed run for logical rank L: at each
@@ -458,70 +509,6 @@ void fill_resilience_report(RunReport& report, camb::Machine& machine,
   }
 }
 
-/// Execute a checkpointed run: P + spares physical ranks each drive the
-/// rollback round loop around `body`; the per-logical outputs are collected
-/// under a mutex (re-executions overwrite bit-identical values).
-template <typename T, typename Output>
-std::vector<Output> run_checkpointed(
-    camb::Machine& machine, int P, const RunOptions& opts,
-    std::vector<ckpt::RunLog>& logs,
-    const std::function<Output(ckpt::SessionT<T>&)>& body) {
-  const CheckpointConfig& ck = opts.checkpoint;
-  ckpt::ResilientConfig rcfg;
-  rcfg.nprocs = P;
-  rcfg.spares = ck.spares;
-  rcfg.interval = ck.interval;
-  rcfg.buddy_stride = ck.buddy_stride;
-  std::vector<std::optional<Output>> results(static_cast<std::size_t>(P));
-  std::mutex results_mu;
-  logs.assign(static_cast<std::size_t>(P + ck.spares), {});
-  machine.run([&](camb::RankCtx& ctx) {
-    ckpt::run_resilient<T, Output>(ctx, rcfg, body, &results, &results_mu,
-                                   &logs[static_cast<std::size_t>(ctx.rank())]);
-  });
-  std::vector<Output> outputs;
-  outputs.reserve(static_cast<std::size_t>(P));
-  for (int L = 0; L < P; ++L) {
-    CAMB_CHECK_MSG(results[static_cast<std::size_t>(L)].has_value(),
-                   "checkpointed run ended without an output for a logical "
-                   "rank");
-    outputs.push_back(std::move(*results[static_cast<std::size_t>(L)]));
-  }
-  return outputs;
-}
-
-/// The whole checkpointed-run recipe minus output assembly: machine with
-/// spares, rollback loop, measurement, resilience record, prediction.
-template <typename T, typename Output>
-RunReport run_ckpt_common(int P, const RunOptions& opts, double bound,
-                          i64 steps,
-                          const std::function<i64(int)>& base_pred,
-                          const std::function<i64(int, i64)>& snap_words,
-                          const std::function<Output(ckpt::SessionT<T>&)>& body,
-                          std::vector<Output>& outputs) {
-  camb::Machine machine(P + opts.checkpoint.spares,
-                        opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<ckpt::RunLog> logs;
-  outputs = run_checkpointed<T, Output>(machine, P, opts, logs, body);
-  RunReport report = report_from_machine(machine, opts);
-  fill_resilience_report(report, machine, opts, logs, P, steps, base_pred,
-                         snap_words);
-  report.lower_bound_words = bound;
-  return report;
-}
-
-/// Memory SDC has no transport to heal it — only the ABFT checksum
-/// correction can.  Algorithms without the encoding reject the request up
-/// front instead of returning a silently wrong answer.
-void reject_mem_sdc(const RunOptions& opts, const char* algo) {
-  if (opts.sdc.mem_rate > 0) {
-    throw Error(std::string("memory-SDC injection (--sdc-mem-rate) requires a "
-                            "checksum-augmented (ABFT) algorithm; ") +
-                algo + " has no correction path");
-  }
-}
-
 /// Flip one low bit of the integer value at a seeded position of `data`
 /// when rank `rank`'s memory-SDC coin lands.  The draw chain is a pure
 /// function of (mem_seed, rank), so a corruption scenario replays from the
@@ -531,10 +518,10 @@ void reject_mem_sdc(const RunOptions& opts, const char* algo) {
 /// exact — which is what makes the repair bit-exact.
 template <typename T>
 bool maybe_flip_entry(std::uint64_t mem_seed, int rank, double rate,
-                      T* data, i64 size) {
+                      std::span<T> data) {
   Rng rng(mem_seed, static_cast<std::uint64_t>(rank));
-  if (rng.uniform() >= rate || size == 0) return false;
-  const i64 idx = static_cast<i64>(rng.below(static_cast<std::uint64_t>(size)));
+  if (rng.uniform() >= rate || data.empty()) return false;
+  const std::size_t idx = rng.below(data.size());
   const int bit = static_cast<int>(rng.below(16));
   const i64 value =
       static_cast<i64>(std::llround(ScalarTraits<T>::to_double(data[idx])));
@@ -547,918 +534,590 @@ bool maybe_flip_entry(std::uint64_t mem_seed, int rank, double rate,
   return true;
 }
 
-/// Fold a correction pass's outcome into the report and the per-rank
-/// correction counters.
-void record_correction(RunReport& report, camb::Machine& machine,
-                       const AbftCorrection& corr, i64 mem_flips) {
-  report.corruption.injected_mem_flips = mem_flips;
-  report.corruption.detected_by_checksums = corr.detected;
-  report.corruption.corrected_by_abft = corr.corrected;
-  report.corruption.escaped = corr.uncorrected;
-  for (int r : corr.corrected_ranks) {
-    machine.stats().transport_mut(r).corrections += 1;
-  }
+/// The owned output tile memory-SDC injection may corrupt.
+template <typename T>
+std::span<T> own_tile(SummaAbftOutputT<T>& out) {
+  return {out.own.block.data(), static_cast<std::size_t>(out.own.block.size())};
 }
 
 template <typename T>
-void verify_block2d(const Shape& shape,
-                    const std::vector<Block2DOutputT<T>>& outs,
-                    const RunOptions& opts, RunReport& report,
-                    bool integer_inputs = false) {
-  if (opts.verify == VerifyMode::kNone) return;
-  Matrix<T> c(shape.n1, shape.n3);
-  for (const auto& out : outs) place_block<T>(c, out);
-  report.output_hash = hash_matrix<T>(c);
-  report.max_abs_error =
-      check_result_pattern<T>(shape, c, opts.verify, integer_inputs);
-  report.verified = true;
+std::span<T> own_tile(Grid3dAbftOutputT<T>& out) {
+  return out.own.c_data;
 }
 
-/// The Theorem 3 bound for (shape, P), scaled into the run's words: the
-/// theory counts elements, the machine counts 8-byte words.
-double lower_bound_for(const Shape& shape, i64 nprocs,
-                       const RunOptions& opts) {
-  return camb::core::memory_independent_bound(shape,
-                                              static_cast<double>(nprocs))
-             .words *
-         dtype_width_words(opts.dtype);
-}
+/// Everything the run pipeline needs to know about one algorithm at scalar
+/// T.  Output placement is resolved by place_output's overload on Output.
+template <typename T, typename Output>
+struct Descriptor {
+  using Outputs = std::vector<Output>;
+  const char* name = "";    ///< the algorithm's name in error messages
+  Shape shape = {};
+  i64 nprocs = 0;           ///< logical ranks P
+  bool integer_inputs = false;  ///< input pattern verification regenerates
+  /// Capability flags.  abft: checksum-augmented, so memory SDC has a
+  /// correction path.  elastic: recovers by shrink-and-regrid, which rules
+  /// out checkpoint/rollback and memory SDC.
+  bool abft = false;
+  bool elastic = false;
+  /// The SPMD body under the plain session, and under a rollback session
+  /// (unset for elastic algorithms).  The folded algorithms pass their one
+  /// session-generic body for both.
+  std::function<Output(PlainSession<T>&)> body = {};
+  std::function<Output(ckpt::SessionT<T>&)> ckpt_body = {};
+  /// Boundary steps the checkpointed body announces, and the snapshot wire
+  /// size of (logical rank, step) in elements.
+  i64 steps = 0;
+  std::function<i64(int, i64)> snapshot_words = {};
+  /// Fault-free received elements of logical rank L (unset: the hook
+  /// predicts), plus the plain run's fixed 8-byte control words.
+  std::function<i64(int)> predict = {};
+  i64 control_words = 0;
+  /// Runs between the report and verification on the plain path (rollback
+  /// re-executes instead of correcting or regridding).
+  std::function<void(RunReport&, camb::Machine&, Outputs&)> hook = {};
+};
 
-template <typename T>
-RunReport run_grid3d_t(const Grid3dConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_ckpt_steps(cfg),
-        [&](int L) { return grid3d_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return grid3d_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return grid3d_ckpt_rank<T>(s, cfg); },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error = check_result_pattern<T>(cfg.shape, c, opts.verify,
-                                                     cfg.integer_inputs);
-      report.verified = true;
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = grid3d_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.predicted_critical_recv = grid3d_predicted_critical_recv_words(cfg);
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error = check_result_pattern<T>(cfg.shape, c, opts.verify,
-                                                   cfg.integer_inputs);
-    report.verified = true;
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_grid3d_staged_t(const Grid3dStagedConfig& cfg,
-                              const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d_staged");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dStagedRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dStagedRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_staged_ckpt_steps(cfg),
-        [&](int L) { return grid3d_staged_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_staged_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) {
-          return grid3d_staged_ckpt_rank<T>(s, cfg);
-        },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) {
-        for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-          place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
-        }
-      }
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dStagedRankOutputT<T>> outputs(
-      static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_staged_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(predicted, grid3d_staged_predicted_recv_words(
-                                        cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) {
-      for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-        place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
-      }
-    }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_grid3d_agarwal_t(const Grid3dAgarwalConfig& cfg,
-                               const RunOptions& opts) {
-  reject_mem_sdc(opts, "grid3d_agarwal");
-  const i64 P = cfg.grid.total();
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_agarwal_ckpt_steps(cfg),
-        [&](int L) { return grid3d_agarwal_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_agarwal_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) {
-          return grid3d_agarwal_ckpt_rank<T>(s, cfg);
-        },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_agarwal_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(predicted, grid3d_agarwal_predicted_recv_words(
-                                        cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.c_chunk, out.c_data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_carma_t(const CarmaConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "carma");
-  const i64 P = i64{1} << cfg.levels;
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    const std::vector<i64> base = carma_predicted_recv_words(cfg);
-    std::vector<CarmaRankOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, CarmaRankOutputT<T>>(
-        static_cast<int>(P), opts, bound, carma_ckpt_steps(cfg),
-        [&](int L) { return base[static_cast<std::size_t>(L)]; },
-        [&](int L, i64 s) { return carma_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return carma_ckpt_rank<T>(s, cfg); },
-        outputs);
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-      for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-      report.verified = true;
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<CarmaRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = carma_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  const std::vector<i64> predicted = carma_predicted_recv_words(cfg);
-  report.predicted_critical_recv = 0;
-  for (i64 w : predicted) {
-    report.predicted_critical_recv = std::max(report.predicted_critical_recv, w);
-  }
-  report.lower_bound_words = bound;
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.shape.n1, cfg.shape.n3);
-    for (const auto& out : outputs) place_chunk<T>(c, out.holding, out.data);
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.shape, c, opts.verify, false);
-    report.verified = true;
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_block2d(
-    const Shape& shape, i64 nprocs, const RunOptions& opts, double lower_bound,
-    i64 predicted,
-    const std::function<Block2DOutputT<T>(camb::RankCtx&)>& body,
-    bool integer_inputs = false) {
-  camb::Machine machine(static_cast<int>(nprocs), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Block2DOutputT<T>> outputs(static_cast<std::size_t>(nprocs));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = body(ctx);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.predicted_critical_recv = predicted;
-  report.lower_bound_words = lower_bound;
-  verify_block2d<T>(shape, outputs, opts, report, integer_inputs);
-  return report;
-}
-
-template <typename T>
-RunReport run_alg25d_t(const Alg25dConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "alg25d");
-  const i64 P = cfg.g * cfg.g * cfg.c;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, alg25d_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, alg25d_ckpt_steps(cfg),
-        [&](int L) { return alg25d_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return alg25d_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return alg25d_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report,
-                      /*integer_inputs=*/cfg.integer_inputs);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return alg25d_rank<T>(ctx, cfg);
-                        },
-                        cfg.integer_inputs);
-}
-
-template <typename T>
-RunReport run_summa_t(const SummaConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "summa");
-  const i64 P = cfg.g * cfg.g;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, summa_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, summa_ckpt_steps(cfg),
-        [&](int L) { return summa_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return summa_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return summa_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report,
-                      /*integer_inputs=*/cfg.integer_inputs);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return summa_rank<T>(ctx, cfg);
-                        },
-                        cfg.integer_inputs);
-}
-
-template <typename T>
-RunReport run_summa_abft_t(const SummaAbftConfig& cfg,
-                           const RunOptions& opts) {
-  const i64 P = cfg.base.g * cfg.base.g;
-  constexpr bool int_inputs = abft_integer_inputs<T>();
-  if (opts.checkpoint.enabled() && opts.sdc.mem_rate > 0) {
-    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
-                "checkpoint/rollback: rollback re-executes instead of "
-                "correcting, so the checksum repair path is never exercised");
-  }
-  const double bound = lower_bound_for(cfg.base.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<SummaAbftOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, SummaAbftOutputT<T>>(
-        static_cast<int>(P), opts, bound, summa_abft_ckpt_steps(cfg),
-        [&](int L) { return summa_abft_ckpt_base_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return summa_abft_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) { return summa_abft_ckpt_rank<T>(s, cfg); },
-        outputs);
-    report.recovery.abft = true;
-    if (report.lower_bound_words > 0) {
-      report.recovery.overhead_ratio =
-          report.measured_critical_recv / report.lower_bound_words;
-    }
-    std::vector<Block2DOutputT<T>> blocks;
-    for (const auto& out : outputs) blocks.push_back(out.own);
-    verify_block2d<T>(cfg.base.shape, blocks, opts, report,
-                      /*integer_inputs=*/int_inputs);
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<SummaAbftOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        summa_abft_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.recovery.abft = true;
-  // Split the fault-free prediction into data elements (dtype-scaled) and
-  // the shrink agreement's control words (fixed 8-byte mask payloads,
-  // identical on every rank — so the split commutes with the max).
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, summa_abft_ckpt_base_recv_words(cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;  // fault-free prediction
-  report.predicted_control_words = coll::shrink_recv_words_exact(
-      static_cast<int>(P), cfg.max_failures);
-  report.lower_bound_words = bound;
-  if (report.lower_bound_words > 0) {
-    report.recovery.overhead_ratio =
-        report.measured_critical_recv / report.lower_bound_words;
-  }
-  if (opts.sdc.enabled() && !machine.crash_outcome().any_crashed()) {
-    i64 mem_flips = 0;
-    for (i64 r = 0; r < P; ++r) {
-      Matrix<T>& tile = outputs[static_cast<std::size_t>(r)].own.block;
-      if (opts.sdc.mem_rate > 0 &&
-          maybe_flip_entry<T>(opts.sdc.mem_seed(opts.perturb.master_seed),
-                              static_cast<int>(r), opts.sdc.mem_rate,
-                              tile.data(), tile.size())) {
-        ++mem_flips;
-      }
-    }
-    // The correction pass also runs under message-only SDC: a clean syndrome
-    // set is the proof that the transport let nothing through.
-    const AbftCorrection corr = summa_abft_correct<T>(cfg, outputs);
-    record_correction(report, machine, corr, mem_flips);
-  }
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-    const std::vector<int>& crashed = machine.crash_outcome().crashed;
-    for (i64 r = 0; r < P; ++r) {
-      const SummaAbftOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      if (contains(crashed, static_cast<int>(r))) continue;
-      place_block<T>(c, out.own);
-      for (const RecoveredBlock2DT<T>& rec : out.recovered) {
-        place_block<T>(c, rec.out);
-      }
-    }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-    report.verified = true;
-  }
-  return report;
-}
-
-template <typename T>
-RunReport run_grid3d_abft_t(const Grid3dAbftConfig& cfg,
-                            const RunOptions& opts) {
-  const i64 P = cfg.base.grid.total();
-  constexpr bool int_inputs = abft_integer_inputs<T>();
-  if (opts.checkpoint.enabled() && opts.sdc.mem_rate > 0) {
-    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
-                "checkpoint/rollback: rollback re-executes instead of "
-                "correcting, so the checksum repair path is never exercised");
-  }
-  const double bound = lower_bound_for(cfg.base.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Grid3dAbftOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Grid3dAbftOutputT<T>>(
-        static_cast<int>(P), opts, bound, grid3d_abft_ckpt_steps(cfg),
-        [&](int L) { return grid3d_abft_ckpt_base_recv_words(cfg, L); },
-        [&](int L, i64 s) {
-          return grid3d_abft_ckpt_snapshot_words(cfg, L, s);
-        },
-        [&](ckpt::SessionT<T>& s) { return grid3d_abft_ckpt_rank<T>(s, cfg); },
-        outputs);
-    report.recovery.abft = true;
-    if (report.lower_bound_words > 0) {
-      report.recovery.overhead_ratio =
-          report.measured_critical_recv / report.lower_bound_words;
-    }
-    if (opts.verify != VerifyMode::kNone) {
-      Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-      for (const auto& out : outputs) {
-        place_chunk<T>(c, out.own.c_chunk, out.own.c_data);
-      }
-      report.output_hash = hash_matrix<T>(c);
-      report.max_abs_error =
-          check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-      report.verified = true;
-    }
-    return report;
-  }
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
-  configure_machine(machine, opts);
-  std::vector<Grid3dAbftOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] =
-        grid3d_abft_rank<T>(ctx, cfg);
-  });
-  RunReport report = report_from_machine(machine, opts);
-  report.recovery.abft = true;
-  // Same data/control split as summa_abft: the shrink flood's mask words
-  // are dtype-independent control traffic.
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, grid3d_abft_ckpt_base_recv_words(cfg, static_cast<int>(r)));
-  }
-  report.predicted_critical_recv = predicted;  // fault-free prediction
-  report.predicted_control_words = coll::shrink_recv_words_exact(
-      static_cast<int>(P), cfg.max_failures);
-  report.lower_bound_words = bound;
-  if (report.lower_bound_words > 0) {
-    report.recovery.overhead_ratio =
-        report.measured_critical_recv / report.lower_bound_words;
-  }
-  if (opts.sdc.enabled() && !machine.crash_outcome().any_crashed()) {
-    i64 mem_flips = 0;
-    for (i64 r = 0; r < P; ++r) {
-      std::vector<T>& data = outputs[static_cast<std::size_t>(r)].own.c_data;
-      if (opts.sdc.mem_rate > 0 &&
-          maybe_flip_entry<T>(opts.sdc.mem_seed(opts.perturb.master_seed),
-                              static_cast<int>(r), opts.sdc.mem_rate,
-                              data.data(), static_cast<i64>(data.size()))) {
-        ++mem_flips;
-      }
-    }
-    // The parity syndrome localizes the corrupted element but not which
-    // fiber member holds it; one exact reference dot product per candidate
-    // disambiguates.  The dot product is exact in every dtype: the inputs
-    // are integer-valued (natively for exact scalars, by the smallness of
-    // the integer pattern otherwise).
-    Matrix<T> a, b;
-    fill_inputs<T>(cfg.base.shape, int_inputs, a, b);
-    const AbftCorrection corr = grid3d_abft_correct<T>(
-        cfg, outputs, [&](i64 row, i64 col) {
-          T acc = ScalarTraits<T>::zero();
-          for (i64 k = 0; k < cfg.base.shape.n2; ++k) {
-            acc += a(row, k) * b(k, col);
-          }
-          return acc;
-        });
-    record_correction(report, machine, corr, mem_flips);
-  }
-  if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(cfg.base.shape.n1, cfg.base.shape.n3);
-    const std::vector<int>& crashed = machine.crash_outcome().crashed;
-    for (i64 r = 0; r < P; ++r) {
-      const Grid3dAbftOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      if (contains(crashed, static_cast<int>(r))) continue;
-      place_chunk<T>(c, out.own.c_chunk, out.own.c_data);
-      for (const RecoveredChunk3DT<T>& rec : out.recovered) {
-        place_chunk<T>(c, rec.c_chunk, rec.c_data);
-      }
-    }
-    report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(cfg.base.shape, c, opts.verify, int_inputs);
-    report.verified = true;
-  }
-  return report;
-}
-
-/// Elastic mode is a recovery discipline of its own: it cannot stack with
-/// checkpoint/rollback (which re-executes on the OLD grid — the opposite
-/// answer to the same failure) or with memory-SDC injection (which needs a
-/// checksum-augmented algorithm to exercise the correction path).
-void reject_elastic_conflicts(const RunOptions& opts, const char* algo) {
-  if (opts.checkpoint.enabled()) {
-    throw Error(std::string(algo) +
+/// The one place that says which run options go with which algorithms.
+/// Memory SDC has no transport to heal it — only an ABFT checksum
+/// correction can, and not under rollback, which re-executes instead of
+/// correcting.  Elastic shrink-and-regrid is a recovery discipline of its
+/// own: it stacks with neither rollback (which re-executes on the OLD grid —
+/// the opposite answer to the same failure) nor memory SDC.
+void check_capabilities(const std::string& algo, bool abft, bool elastic,
+                        const RunOptions& opts) {
+  const bool mem_sdc = opts.sdc.mem_rate > 0;
+  if (elastic && opts.checkpoint.enabled()) {
+    throw Error(algo +
                 ": elastic shrink-and-regrid does not compose with "
                 "checkpoint/rollback — rollback re-executes on the old grid, "
                 "elastic re-plans it; pick one recovery discipline");
   }
-  if (opts.sdc.mem_rate > 0) {
-    throw Error(std::string(algo) +
+  if (elastic && mem_sdc) {
+    throw Error(algo +
                 ": memory-SDC injection (--sdc-mem-rate) requires a "
                 "checksum-augmented algorithm; the elastic twins recover by "
                 "re-execution, not correction");
   }
+  if (!abft && mem_sdc) {
+    throw Error("memory-SDC injection (--sdc-mem-rate) requires a "
+                "checksum-augmented (ABFT) algorithm; " +
+                algo + " has no correction path");
+  }
+  if (mem_sdc && opts.checkpoint.enabled()) {
+    throw Error("memory-SDC injection (--sdc-mem-rate) does not compose with "
+                "checkpoint/rollback: rollback re-executes instead of "
+                "correcting, so the checksum repair path is never exercised");
+  }
 }
 
-/// Shared elastic driver: run the per-rank elastic twin on a counted
-/// machine, pin the report to the closed-form prediction for the agreed
-/// failed set, and assemble C from every non-crashed rank's tiles (retiree
-/// attempt-0 tiles and recovery-round tiles overlap bit-identically, so
-/// placement order does not matter).
-template <typename T, typename RankFn, typename PredictFn>
-RunReport run_elastic_common(const Shape& shape, i64 P, bool int_inputs,
-                             const RunOptions& opts, RankFn&& rank_fn,
-                             PredictFn&& predict) {
-  camb::Machine machine(static_cast<int>(P), opts.perturb.machine_seed());
+/// The run pipeline: capability check, one machine (P ranks, or P + spares
+/// each driving the rollback round loop), the report and prediction, the
+/// algorithm's hook, and one assemble / hash / verify block.
+template <typename T, typename Output>
+RunReport run_descriptor(const Descriptor<T, Output>& d,
+                         const RunOptions& opts) {
+  check_capabilities(d.name, d.abft, d.elastic, opts);
+  const int P = static_cast<int>(d.nprocs);
+  const CheckpointConfig& ck = opts.checkpoint;
+  camb::Machine machine(P + (ck.enabled() ? ck.spares : 0),
+                        opts.perturb.machine_seed());
   configure_machine(machine, opts);
-  std::vector<ElasticRankOutputT<T>> outputs(static_cast<std::size_t>(P));
-  machine.run([&](camb::RankCtx& ctx) {
-    outputs[static_cast<std::size_t>(ctx.rank())] = rank_fn(ctx);
-  });
+  std::vector<Output> outputs(static_cast<std::size_t>(P));
+  std::vector<ckpt::RunLog> logs;
+  if (ck.enabled()) {
+    // Per-logical outputs are collected under a mutex (re-executions
+    // overwrite bit-identical values).
+    ckpt::ResilientConfig rcfg;
+    rcfg.nprocs = P;
+    rcfg.spares = ck.spares;
+    rcfg.interval = ck.interval;
+    rcfg.buddy_stride = ck.buddy_stride;
+    std::vector<std::optional<Output>> results(static_cast<std::size_t>(P));
+    std::mutex results_mu;
+    logs.assign(static_cast<std::size_t>(P + ck.spares), {});
+    machine.run([&](camb::RankCtx& ctx) {
+      ckpt::run_resilient<T, Output>(
+          ctx, rcfg, d.ckpt_body, &results, &results_mu,
+          &logs[static_cast<std::size_t>(ctx.rank())]);
+    });
+    for (int L = 0; L < P; ++L) {
+      std::optional<Output>& result = results[static_cast<std::size_t>(L)];
+      CAMB_CHECK_MSG(result.has_value(),
+                     "checkpointed run ended without an output for a logical "
+                     "rank");
+      outputs[static_cast<std::size_t>(L)] = std::move(*result);
+    }
+  } else {
+    machine.run([&](camb::RankCtx& ctx) {
+      PlainSession<T> session(ctx);
+      outputs[static_cast<std::size_t>(ctx.rank())] = d.body(session);
+    });
+  }
+
   RunReport report = report_from_machine(machine, opts);
-  const std::vector<int>& crashed = machine.crash_outcome().crashed;
-
-  // The agreed outcome lives in the deepest-recovering survivor: a rank
-  // that retired after a clean attempt 0 reports rounds = 0 even when its
-  // peers went on to shrink without it.
-  const ElasticRankOutputT<T>* view = nullptr;
-  for (i64 r = 0; r < P; ++r) {
-    if (contains(crashed, static_cast<int>(r))) continue;
-    const ElasticRankOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-    if (view == nullptr || out.rounds > view->rounds) view = &out;
+  report.lower_bound_words = lower_bound_for(d.shape, P, opts);
+  if (ck.enabled()) {
+    fill_resilience_report(report, machine, opts, logs, P, d.steps, d.predict,
+                           d.snapshot_words);
+  } else if (d.predict) {
+    i64 worst = 0;
+    for (int r = 0; r < P; ++r) worst = std::max(worst, d.predict(r));
+    report.predicted_critical_recv = worst;
+    report.predicted_control_words = d.control_words;
   }
-  if (view == nullptr) {
-    throw Error("elastic: every rank crashed; nothing to report");
+  if (d.abft) {
+    report.recovery.abft = true;
+    if (report.lower_bound_words > 0) {
+      report.recovery.overhead_ratio =
+          report.measured_critical_recv / report.lower_bound_words;
+    }
   }
-
-  report.elastic.enabled = true;
-  report.elastic.rounds = view->rounds;
-  report.elastic.failed = view->failed;
-  report.elastic.survivors = view->survivors;
-  report.elastic.active_ranks = view->active_ranks;
-  report.elastic.grid = view->final_grid;
-
-  const camb::CommStats& stats = machine.stats();
-  for (i64 r = 0; r < P; ++r) {
-    const int rr = static_cast<int>(r);
-    const double regrid_w =
-        stats.rank_phase(rr, coll::kPhaseElasticRegrid).words_received();
-    const double shrink_w =
-        stats.rank_phase(rr, kPhaseElasticShrink).words_received();
-    report.elastic.migration_recv_words =
-        std::max(report.elastic.migration_recv_words, regrid_w);
-    report.elastic.shrink_recv_words =
-        std::max(report.elastic.shrink_recv_words, shrink_w);
-    report.elastic.exec_recv_words =
-        std::max(report.elastic.exec_recv_words,
-                 stats.rank_total(rr).words_received() - regrid_w - shrink_w);
-  }
-  report.elastic.bound_words_at_pprime =
-      lower_bound_for(shape, report.elastic.active_ranks, opts);
-  if (report.elastic.bound_words_at_pprime > 0) {
-    report.elastic.overhead_vs_bound =
-        report.elastic.exec_recv_words / report.elastic.bound_words_at_pprime;
-  }
-
-  // The zero-tolerance prediction for the agreed failed set: base words
-  // when clean, base-at-P′ + shrink flood + migration tax when crashed.
-  // Split data elements (dtype-scaled) from the shrink control words (fixed
-  // f64 mask payloads) the way predicted_words() recombines them; the split
-  // commutes with the max because the control words are uniform over
-  // survivors and the failed receive nothing.
-  const ElasticPrediction pred = predict(view->failed);
-  const double width = dtype_width_words(opts.dtype);
-  i64 max_elems = 0;
-  for (i64 r = 0; r < P; ++r) {
-    const std::size_t s = static_cast<std::size_t>(r);
-    const double data_words =
-        pred.rank_migration_words[s] + pred.rank_exec_words[s];
-    max_elems = std::max(
-        max_elems, static_cast<i64>(std::llround(data_words / width)));
-  }
-  report.predicted_critical_recv = max_elems;
-  report.predicted_control_words =
-      static_cast<i64>(std::llround(pred.shrink_words));
-  report.lower_bound_words = lower_bound_for(shape, P, opts);
+  if (d.hook && !ck.enabled()) d.hook(report, machine, outputs);
 
   if (opts.verify != VerifyMode::kNone) {
-    Matrix<T> c(shape.n1, shape.n3);
-    for (i64 r = 0; r < P; ++r) {
-      if (contains(crashed, static_cast<int>(r))) continue;
-      const ElasticRankOutputT<T>& out = outputs[static_cast<std::size_t>(r)];
-      for (std::size_t s = 0; s < out.c_chunks.size(); ++s) {
-        place_chunk<T>(c, out.c_chunks[s], out.c_data[s]);
-      }
-    }
+    Matrix<T> c(d.shape.n1, d.shape.n3);
+    for (const Output& out : outputs) place_output<T>(c, out);
     report.output_hash = hash_matrix<T>(c);
-    report.max_abs_error =
-        check_result_pattern<T>(shape, c, opts.verify, int_inputs);
+    report.max_abs_error = check_result_pattern<T>(d.shape, c, opts.verify,
+                                                   d.integer_inputs);
     report.verified = true;
   }
   return report;
 }
 
+/// Every run_<algo> enters here: bridge the options' dtype to a scalar
+/// type, have `describe` build the algorithm's descriptor for it, and run
+/// the pipeline.
+template <typename Describe>
+RunReport run_pipeline(const RunOptions& opts, Describe&& describe) {
+  return dispatch_dtype(opts.dtype, [&](auto tag) {
+    return run_descriptor(describe(tag), opts);
+  });
+}
+
+/// The ABFT hook: inject the seeded memory-SDC flips into the owned output
+/// tiles, then run the algorithm's checksum correction `correct(outputs)` —
+/// also under message-only SDC, where a clean syndrome set is the proof
+/// that the transport let nothing through.
+template <typename T, typename Output, typename Correct>
+auto abft_correction_hook(const RunOptions& opts, Correct correct) {
+  return [&opts, correct](RunReport& report, camb::Machine& machine,
+                          std::vector<Output>& outputs) {
+    if (!opts.sdc.enabled() || machine.crash_outcome().any_crashed()) return;
+    i64 mem_flips = 0;
+    for (std::size_t r = 0; r < outputs.size(); ++r) {
+      if (opts.sdc.mem_rate > 0 &&
+          maybe_flip_entry<T>(opts.sdc.mem_seed(opts.perturb.master_seed),
+                              static_cast<int>(r), opts.sdc.mem_rate,
+                              own_tile<T>(outputs[r]))) {
+        ++mem_flips;
+      }
+    }
+    const AbftCorrection corr = correct(outputs);
+    report.corruption.injected_mem_flips = mem_flips;
+    report.corruption.detected_by_checksums = corr.detected;
+    report.corruption.corrected_by_abft = corr.corrected;
+    report.corruption.escaped = corr.uncorrected;
+    for (int r : corr.corrected_ranks) {
+      machine.stats().transport_mut(r).corrections += 1;
+    }
+  };
+}
+
+/// The elastic hook: the shrink-and-regrid record, and the zero-tolerance
+/// prediction for the agreed failed set — base words when clean,
+/// base-at-P′ + shrink flood + migration tax when crashed.
 template <typename T>
-RunReport run_summa_elastic_t(const SummaConfig& cfg, const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "summa_elastic");
-  const i64 P = cfg.g * cfg.g;
+auto elastic_hook(const RunOptions& opts, const Shape& shape,
+                  std::function<ElasticPrediction(const std::vector<int>&)>
+                      predict) {
+  return [&opts, shape, predict](RunReport& report, camb::Machine& machine,
+                                 std::vector<ElasticRankOutputT<T>>& outputs) {
+    // The agreed outcome lives in the deepest-recovering survivor: a rank
+    // that retired after a clean attempt 0 reports rounds = 0 even when its
+    // peers went on to shrink without it.
+    const std::vector<int>& crashed = machine.crash_outcome().crashed;
+    const ElasticRankOutputT<T>* view = nullptr;
+    for (std::size_t r = 0; r < outputs.size(); ++r) {
+      if (contains(crashed, static_cast<int>(r))) continue;
+      if (view == nullptr || outputs[r].rounds > view->rounds) {
+        view = &outputs[r];
+      }
+    }
+    if (view == nullptr) {
+      throw Error("elastic: every rank crashed; nothing to report");
+    }
+
+    ElasticReport& el = report.elastic;
+    el.enabled = true;
+    el.rounds = view->rounds;
+    el.failed = view->failed;
+    el.survivors = view->survivors;
+    el.active_ranks = view->active_ranks;
+    el.grid = view->final_grid;
+    const camb::CommStats& stats = machine.stats();
+    for (int r = 0; r < stats.nprocs(); ++r) {
+      const double regrid_w =
+          stats.rank_phase(r, coll::kPhaseElasticRegrid).words_received();
+      const double shrink_w =
+          stats.rank_phase(r, kPhaseElasticShrink).words_received();
+      el.migration_recv_words = std::max(el.migration_recv_words, regrid_w);
+      el.shrink_recv_words = std::max(el.shrink_recv_words, shrink_w);
+      el.exec_recv_words =
+          std::max(el.exec_recv_words,
+                   stats.rank_total(r).words_received() - regrid_w - shrink_w);
+    }
+    el.bound_words_at_pprime = lower_bound_for(shape, el.active_ranks, opts);
+    if (el.bound_words_at_pprime > 0) {
+      el.overhead_vs_bound = el.exec_recv_words / el.bound_words_at_pprime;
+    }
+
+    // Split data elements (dtype-scaled) from the shrink control words
+    // (fixed f64 mask payloads) the way predicted_words() recombines them;
+    // the split commutes with the max because the control words are
+    // uniform over survivors and the failed receive nothing.
+    const ElasticPrediction pred = predict(view->failed);
+    const double width = dtype_width_words(opts.dtype);
+    i64 max_elems = 0;
+    for (std::size_t r = 0; r < outputs.size(); ++r) {
+      const double data_words =
+          pred.rank_migration_words[r] + pred.rank_exec_words[r];
+      max_elems = std::max(max_elems,
+                           static_cast<i64>(std::llround(data_words / width)));
+    }
+    report.predicted_critical_recv = max_elems;
+    report.predicted_control_words =
+        static_cast<i64>(std::llround(pred.shrink_words));
+  };
+}
+
+/// The elastic twins' runner switch, forced on.
+ElasticConfig elastic_config(const RunOptions& opts) {
   ElasticConfig ecfg = opts.elastic;
   ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return summa_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return summa_elastic_prediction(cfg, ecfg, failed,
-                                        static_cast<int>(P),
-                                        dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_grid3d_elastic_t(const Grid3dConfig& cfg,
-                               const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "grid3d_elastic");
-  const i64 P = cfg.grid.total();
-  ElasticConfig ecfg = opts.elastic;
-  ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return grid3d_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return grid3d_elastic_prediction(cfg, ecfg, failed,
-                                         static_cast<int>(P),
-                                         dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_alg25d_elastic_t(const Alg25dConfig& cfg,
-                               const RunOptions& opts) {
-  reject_elastic_conflicts(opts, "alg25d_elastic");
-  const i64 P = cfg.g * cfg.g * cfg.c;
-  ElasticConfig ecfg = opts.elastic;
-  ecfg.enabled = true;
-  const bool int_inputs = cfg.integer_inputs || abft_integer_inputs<T>();
-  return run_elastic_common<T>(
-      cfg.shape, P, int_inputs, opts,
-      [&](camb::RankCtx& ctx) {
-        return alg25d_elastic_rank<T>(ctx, cfg, ecfg);
-      },
-      [&](const std::vector<int>& failed) {
-        return alg25d_elastic_prediction(cfg, ecfg, failed,
-                                         static_cast<int>(P),
-                                         dtype_width_words(opts.dtype));
-      });
-}
-
-template <typename T>
-RunReport run_cannon_t(const CannonConfig& cfg, const RunOptions& opts) {
-  reject_mem_sdc(opts, "cannon");
-  const i64 P = cfg.g * cfg.g;
-  i64 predicted = 0;
-  for (i64 r = 0; r < P; ++r) {
-    predicted = std::max(
-        predicted, cannon_predicted_recv_words(cfg, static_cast<int>(r)));
-  }
-  const double bound = lower_bound_for(cfg.shape, P, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(P), opts, bound, cannon_ckpt_steps(cfg),
-        [&](int L) { return cannon_predicted_recv_words(cfg, L); },
-        [&](int L, i64 s) { return cannon_ckpt_snapshot_words(cfg, L, s); },
-        [&](ckpt::SessionT<T>& s) { return cannon_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, P, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return cannon_rank<T>(ctx, cfg);
-                        });
-}
-
-template <typename T>
-RunReport run_naive_bcast_t(const NaiveBcastConfig& cfg, i64 nprocs,
-                            const RunOptions& opts) {
-  reject_mem_sdc(opts, "naive_bcast");
-  i64 predicted = 0;
-  for (i64 r = 0; r < nprocs; ++r) {
-    predicted = std::max(predicted,
-                         naive_bcast_predicted_recv_words(
-                             cfg, static_cast<int>(r), static_cast<int>(nprocs)));
-  }
-  const double bound = lower_bound_for(cfg.shape, nprocs, opts);
-  if (opts.checkpoint.enabled()) {
-    std::vector<Block2DOutputT<T>> outputs;
-    RunReport report = run_ckpt_common<T, Block2DOutputT<T>>(
-        static_cast<int>(nprocs), opts, bound, naive_bcast_ckpt_steps(cfg),
-        [&](int L) {
-          return naive_bcast_predicted_recv_words(cfg, L,
-                                                  static_cast<int>(nprocs));
-        },
-        [&](int L, i64 s) {
-          return naive_bcast_ckpt_snapshot_words(cfg, L,
-                                                 static_cast<int>(nprocs), s);
-        },
-        [&](ckpt::SessionT<T>& s) { return naive_bcast_ckpt_rank<T>(s, cfg); },
-        outputs);
-    verify_block2d<T>(cfg.shape, outputs, opts, report);
-    return report;
-  }
-  return run_block2d<T>(cfg.shape, nprocs, opts, bound, predicted,
-                        [&](camb::RankCtx& ctx) {
-                          return naive_bcast_rank<T>(ctx, cfg);
-                        });
+  return ecfg;
 }
 
 }  // namespace
 
+// ---- The descriptors ------------------------------------------------------
+
 RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return grid3d_body<T>(s, cfg); };
+    return Descriptor<T, Grid3dRankOutputT<T>>{
+        .name = "grid3d",
+        .shape = cfg.shape,
+        .nprocs = cfg.grid.total(),
+        .integer_inputs = cfg.integer_inputs,
+        .body = body,
+        .ckpt_body = body,
+        .steps = grid3d_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return grid3d_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return grid3d_predicted_recv_words(cfg, L);
+        },
+    };
   });
-}
-
-RunReport run_grid3d(const Grid3dConfig& cfg, VerifyMode mode) {
-  return run_grid3d(cfg, RunOptions::verified(mode));
-}
-
-RunReport run_grid3d(const Grid3dConfig& cfg, bool verify) {
-  return run_grid3d(cfg, options_from(verify));
 }
 
 RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg,
                             const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_staged_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return grid3d_staged_body<T>(s, cfg); };
+    return Descriptor<T, Grid3dStagedRankOutputT<T>>{
+        .name = "grid3d_staged",
+        .shape = cfg.shape,
+        .nprocs = cfg.grid.total(),
+        .body = body,
+        .ckpt_body = body,
+        .steps = grid3d_staged_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return grid3d_staged_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return grid3d_staged_predicted_recv_words(cfg, L);
+        },
+    };
   });
-}
-
-RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg, bool verify) {
-  return run_grid3d_staged(cfg, options_from(verify));
 }
 
 RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg,
                              const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_agarwal_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) {
+      return grid3d_agarwal_body<T>(s, cfg);
+    };
+    return Descriptor<T, Grid3dRankOutputT<T>>{
+        .name = "grid3d_agarwal",
+        .shape = cfg.shape,
+        .nprocs = cfg.grid.total(),
+        .body = body,
+        .ckpt_body = body,
+        .steps = grid3d_agarwal_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return grid3d_agarwal_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return grid3d_agarwal_predicted_recv_words(cfg, L);
+        },
+    };
   });
-}
-
-RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg, bool verify) {
-  return run_grid3d_agarwal(cfg, options_from(verify));
 }
 
 RunReport run_carma(const CarmaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_carma_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return carma_body<T>(s, cfg); };
+    return Descriptor<T, CarmaRankOutputT<T>>{
+        .name = "carma",
+        .shape = cfg.shape,
+        .nprocs = i64{1} << cfg.levels,
+        .body = body,
+        .ckpt_body = body,
+        .steps = carma_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return carma_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [words = carma_predicted_recv_words(cfg)](int L) {
+          return words[static_cast<std::size_t>(L)];
+        },
+    };
   });
-}
-
-RunReport run_carma(const CarmaConfig& cfg, bool verify) {
-  return run_carma(cfg, options_from(verify));
 }
 
 RunReport run_alg25d(const Alg25dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_alg25d_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return alg25d_body<T>(s, cfg); };
+    return Descriptor<T, Block2DOutputT<T>>{
+        .name = "alg25d",
+        .shape = cfg.shape,
+        .nprocs = cfg.g * cfg.g * cfg.c,
+        .integer_inputs = cfg.integer_inputs,
+        .body = body,
+        .ckpt_body = body,
+        .steps = alg25d_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return alg25d_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return alg25d_predicted_recv_words(cfg, L);
+        },
+    };
   });
-}
-
-RunReport run_alg25d(const Alg25dConfig& cfg, bool verify) {
-  return run_alg25d(cfg, options_from(verify));
-}
-
-RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_elastic_t<T>(cfg, opts);
-  });
-}
-
-RunReport run_summa_elastic(const SummaConfig& cfg, bool verify) {
-  return run_summa_elastic(cfg, options_from(verify));
-}
-
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_elastic_t<T>(cfg, opts);
-  });
-}
-
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, bool verify) {
-  return run_grid3d_elastic(cfg, options_from(verify));
-}
-
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_alg25d_elastic_t<T>(cfg, opts);
-  });
-}
-
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, bool verify) {
-  return run_alg25d_elastic(cfg, options_from(verify));
 }
 
 RunReport run_summa(const SummaConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return summa_body<T>(s, cfg); };
+    return Descriptor<T, Block2DOutputT<T>>{
+        .name = "summa",
+        .shape = cfg.shape,
+        .nprocs = cfg.g * cfg.g,
+        .integer_inputs = cfg.integer_inputs,
+        .body = body,
+        .ckpt_body = body,
+        .steps = summa_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return summa_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return summa_predicted_recv_words(cfg, L);
+        },
+    };
   });
 }
 
-RunReport run_summa(const SummaConfig& cfg, bool verify) {
-  return run_summa(cfg, options_from(verify));
+RunReport run_cannon(const CannonConfig& cfg, const RunOptions& opts) {
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return cannon_body<T>(s, cfg); };
+    return Descriptor<T, Block2DOutputT<T>>{
+        .name = "cannon",
+        .shape = cfg.shape,
+        .nprocs = cfg.g * cfg.g,
+        .body = body,
+        .ckpt_body = body,
+        .steps = cannon_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return cannon_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return cannon_predicted_recv_words(cfg, L);
+        },
+    };
+  });
+}
+
+RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
+                          const RunOptions& opts) {
+  const int P = static_cast<int>(nprocs);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const auto body = [&cfg](auto& s) { return naive_bcast_body<T>(s, cfg); };
+    return Descriptor<T, Block2DOutputT<T>>{
+        .name = "naive_bcast",
+        .shape = cfg.shape,
+        .nprocs = nprocs,
+        .body = body,
+        .ckpt_body = body,
+        .steps = naive_bcast_ckpt_steps(cfg),
+        .snapshot_words = [&cfg, P](int L, i64 step) {
+          return naive_bcast_ckpt_snapshot_words(cfg, L, P, step);
+        },
+        .predict = [&cfg, P](int L) {
+          return naive_bcast_predicted_recv_words(cfg, L, P);
+        },
+    };
+  });
 }
 
 RunReport run_summa_abft(const SummaAbftConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_summa_abft_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    using Output = SummaAbftOutputT<T>;
+    const i64 P = cfg.base.g * cfg.base.g;
+    return Descriptor<T, Output>{
+        .name = "summa_abft",
+        .shape = cfg.base.shape,
+        .nprocs = P,
+        .integer_inputs = abft_integer_inputs<T>(),
+        .abft = true,
+        .body = [&cfg](PlainSession<T>& s) {
+          return summa_abft_rank<T>(s.ctx(), cfg);
+        },
+        .ckpt_body = [&cfg](ckpt::SessionT<T>& s) {
+          return summa_abft_ckpt_rank<T>(s, cfg);
+        },
+        .steps = summa_abft_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return summa_abft_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return summa_abft_ckpt_base_recv_words(cfg, L);
+        },
+        // The shrink agreement's mask payloads: fixed 8-byte control words,
+        // identical on every rank, so the split commutes with the max.
+        .control_words = coll::shrink_recv_words_exact(static_cast<int>(P),
+                                                       cfg.max_failures),
+        .hook = abft_correction_hook<T, Output>(
+            opts, [&cfg](std::vector<Output>& outputs) {
+              return summa_abft_correct<T>(cfg, outputs);
+            }),
+    };
   });
-}
-
-RunReport run_summa_abft(const SummaAbftConfig& cfg, bool verify) {
-  return run_summa_abft(cfg, options_from(verify));
 }
 
 RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg,
                           const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_grid3d_abft_t<T>(cfg, opts);
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    using Output = Grid3dAbftOutputT<T>;
+    const i64 P = cfg.base.grid.total();
+    return Descriptor<T, Output>{
+        .name = "grid3d_abft",
+        .shape = cfg.base.shape,
+        .nprocs = P,
+        .integer_inputs = abft_integer_inputs<T>(),
+        .abft = true,
+        .body = [&cfg](PlainSession<T>& s) {
+          return grid3d_abft_rank<T>(s.ctx(), cfg);
+        },
+        .ckpt_body = [&cfg](ckpt::SessionT<T>& s) {
+          return grid3d_abft_ckpt_rank<T>(s, cfg);
+        },
+        .steps = grid3d_abft_ckpt_steps(cfg),
+        .snapshot_words = [&cfg](int L, i64 step) {
+          return grid3d_abft_ckpt_snapshot_words(cfg, L, step);
+        },
+        .predict = [&cfg](int L) {
+          return grid3d_abft_ckpt_base_recv_words(cfg, L);
+        },
+        .control_words = coll::shrink_recv_words_exact(static_cast<int>(P),
+                                                       cfg.max_failures),
+        // The parity syndrome localizes the corrupted element but not which
+        // fiber member holds it; one exact reference dot product per
+        // candidate disambiguates.  The dot product is exact in every
+        // dtype: the inputs are integer-valued (natively for exact scalars,
+        // by the smallness of the integer pattern otherwise).
+        .hook = abft_correction_hook<T, Output>(
+            opts, [&cfg](std::vector<Output>& outputs) {
+              Matrix<T> a, b;
+              fill_inputs<T>(cfg.base.shape, abft_integer_inputs<T>(), a, b);
+              return grid3d_abft_correct<T>(
+                  cfg, outputs, [&](i64 row, i64 col) {
+                    T acc = ScalarTraits<T>::zero();
+                    for (i64 k = 0; k < cfg.base.shape.n2; ++k) {
+                      acc += a(row, k) * b(k, col);
+                    }
+                    return acc;
+                  });
+            }),
+    };
   });
 }
 
-RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, bool verify) {
-  return run_grid3d_abft(cfg, options_from(verify));
-}
-
-RunReport run_cannon(const CannonConfig& cfg, const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_cannon_t<T>(cfg, opts);
+RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts) {
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const int P = static_cast<int>(cfg.g * cfg.g);
+    const ElasticConfig ecfg = elastic_config(opts);
+    return Descriptor<T, ElasticRankOutputT<T>>{
+        .name = "summa_elastic",
+        .shape = cfg.shape,
+        .nprocs = P,
+        .integer_inputs = cfg.integer_inputs || abft_integer_inputs<T>(),
+        .elastic = true,
+        .body = [&cfg, ecfg](PlainSession<T>& s) {
+          return summa_elastic_rank<T>(s.ctx(), cfg, ecfg);
+        },
+        .hook = elastic_hook<T>(
+            opts, cfg.shape, [&cfg, &opts, ecfg, P](const std::vector<int>& f) {
+              return summa_elastic_prediction(cfg, ecfg, f, P,
+                                              dtype_width_words(opts.dtype));
+            }),
+    };
   });
 }
 
-RunReport run_cannon(const CannonConfig& cfg, bool verify) {
-  return run_cannon(cfg, options_from(verify));
-}
-
-RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
-                          const RunOptions& opts) {
-  return dispatch_dtype(opts.dtype, [&](auto tag) {
-    using T = typename decltype(tag)::type;
-    return run_naive_bcast_t<T>(cfg, nprocs, opts);
+RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts) {
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const int P = static_cast<int>(cfg.grid.total());
+    const ElasticConfig ecfg = elastic_config(opts);
+    return Descriptor<T, ElasticRankOutputT<T>>{
+        .name = "grid3d_elastic",
+        .shape = cfg.shape,
+        .nprocs = P,
+        .integer_inputs = cfg.integer_inputs || abft_integer_inputs<T>(),
+        .elastic = true,
+        .body = [&cfg, ecfg](PlainSession<T>& s) {
+          return grid3d_elastic_rank<T>(s.ctx(), cfg, ecfg);
+        },
+        .hook = elastic_hook<T>(
+            opts, cfg.shape, [&cfg, &opts, ecfg, P](const std::vector<int>& f) {
+              return grid3d_elastic_prediction(cfg, ecfg, f, P,
+                                               dtype_width_words(opts.dtype));
+            }),
+    };
   });
 }
 
-RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
-                          bool verify) {
-  return run_naive_bcast(cfg, nprocs, options_from(verify));
+RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts) {
+  return run_pipeline(opts, [&]<typename T>(std::type_identity<T>) {
+    const int P = static_cast<int>(cfg.g * cfg.g * cfg.c);
+    const ElasticConfig ecfg = elastic_config(opts);
+    return Descriptor<T, ElasticRankOutputT<T>>{
+        .name = "alg25d_elastic",
+        .shape = cfg.shape,
+        .nprocs = P,
+        .integer_inputs = cfg.integer_inputs || abft_integer_inputs<T>(),
+        .elastic = true,
+        .body = [&cfg, ecfg](PlainSession<T>& s) {
+          return alg25d_elastic_rank<T>(s.ctx(), cfg, ecfg);
+        },
+        .hook = elastic_hook<T>(
+            opts, cfg.shape, [&cfg, &opts, ecfg, P](const std::vector<int>& f) {
+              return alg25d_elastic_prediction(cfg, ecfg, f, P,
+                                               dtype_width_words(opts.dtype));
+            }),
+    };
+  });
 }
 
 }  // namespace camb::mm

@@ -376,62 +376,54 @@ struct RunReport {
   }
 };
 
-/// Algorithm 1 on its grid.  `verify` assembles C and checks it (mode
-/// kReference for `true`; use the VerifyMode / RunOptions overloads for
-/// Freivalds or perturbed runs).
-RunReport run_grid3d(const Grid3dConfig& cfg, bool verify);
-RunReport run_grid3d(const Grid3dConfig& cfg, VerifyMode mode);
+// One entry point per algorithm.  Every one of them runs through the same
+// pipeline (runner.cpp): a per-algorithm descriptor — body, machine size,
+// checkpoint steps and snapshot words, per-rank predictor, input pattern,
+// capability flags — drives one capability check, one machine build and
+// run (P ranks, or P + spares under checkpoint/rollback), one report, the
+// algorithm's post-run hook (ABFT correction, elastic accounting), and one
+// assemble / hash / verify block.
+
+/// Algorithm 1 on its grid.
 RunReport run_grid3d(const Grid3dConfig& cfg, const RunOptions& opts);
 
 /// The §6.2 staged (limited-memory) variant of Algorithm 1.
-RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg, bool verify);
 RunReport run_grid3d_staged(const Grid3dStagedConfig& cfg,
                             const RunOptions& opts);
 
 /// The Agarwal et al. 1995 variant (All-to-All instead of Reduce-Scatter).
-RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg, bool verify);
 RunReport run_grid3d_agarwal(const Grid3dAgarwalConfig& cfg,
                              const RunOptions& opts);
 
 /// The Demmel et al. 2013 recursive algorithm (BFS CARMA, P = 2^levels).
-RunReport run_carma(const CarmaConfig& cfg, bool verify);
 RunReport run_carma(const CarmaConfig& cfg, const RunOptions& opts);
 
 /// The 2.5D replication algorithm on a g×g×c grid.
-RunReport run_alg25d(const Alg25dConfig& cfg, bool verify);
 RunReport run_alg25d(const Alg25dConfig& cfg, const RunOptions& opts);
 
 /// SUMMA on a g×g grid.
-RunReport run_summa(const SummaConfig& cfg, bool verify);
 RunReport run_summa(const SummaConfig& cfg, const RunOptions& opts);
 
 /// Checksum-augmented SUMMA (matmul/abft.hpp): survives a single crashed
 /// rank, whose tile is reconstructed by the survivors and assembled into C.
 /// predicted_critical_recv is the exact *fault-free* prediction.
-RunReport run_summa_abft(const SummaAbftConfig& cfg, bool verify);
 RunReport run_summa_abft(const SummaAbftConfig& cfg, const RunOptions& opts);
 
 /// Checksum-augmented Algorithm 1 (one crash per C fiber tolerated).
-RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, bool verify);
 RunReport run_grid3d_abft(const Grid3dAbftConfig& cfg, const RunOptions& opts);
 
 /// Elastic twins (matmul/elastic.hpp): the base algorithm wrapped in the
 /// shrink-and-regrid protocol.  Crash-free runs are word-identical to the
 /// base; crashed runs shrink to the survivors' optimal grid and finish
 /// there, with the migration tax reported and pinned to its closed form.
-RunReport run_summa_elastic(const SummaConfig& cfg, bool verify);
 RunReport run_summa_elastic(const SummaConfig& cfg, const RunOptions& opts);
-RunReport run_grid3d_elastic(const Grid3dConfig& cfg, bool verify);
 RunReport run_grid3d_elastic(const Grid3dConfig& cfg, const RunOptions& opts);
-RunReport run_alg25d_elastic(const Alg25dConfig& cfg, bool verify);
 RunReport run_alg25d_elastic(const Alg25dConfig& cfg, const RunOptions& opts);
 
 /// Cannon on a g×g grid.
-RunReport run_cannon(const CannonConfig& cfg, bool verify);
 RunReport run_cannon(const CannonConfig& cfg, const RunOptions& opts);
 
 /// The naive broadcast-everything baseline on P ranks.
-RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs, bool verify);
 RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
                           const RunOptions& opts);
 

@@ -1,38 +1,22 @@
 #include "matmul/summa.hpp"
 
 #include "collectives/bcast.hpp"
-#include "collectives/grid_comm.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
 
 namespace camb::mm {
 
-namespace {
-
-BlockChunk full_block(const BlockDist1D& rows, i64 ri, const BlockDist1D& cols,
-                      i64 ci) {
-  BlockChunk chunk;
-  chunk.row0 = rows.start(ri);
-  chunk.col0 = cols.start(ci);
-  chunk.rows = rows.size(ri);
-  chunk.cols = cols.size(ci);
-  chunk.flat_start = 0;
-  chunk.flat_size = chunk.rows * chunk.cols;
-  return chunk;
-}
-
-}  // namespace
-
-template <typename T>
-void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
+template <typename T, typename Session>
+void summa_stage_loop(Session& session, const SummaConfig& cfg,
                       const coll::Comm& my_row, const coll::Comm& my_col,
                       i64 i, i64 j, const std::vector<T>& a_own,
                       const std::vector<T>& b_own, Matrix<T>& c_block) {
+  RankCtx& ctx = session.ctx();
   const i64 g = cfg.g;
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
-  for (i64 t = 0; t < g; ++t) {
+  for (i64 t = session.resume_step(); t < g; ++t) {
     // A block-column t travels along each row; B block-row t along columns.
     ctx.set_phase(kPhaseSummaBcastA);
     std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
@@ -52,54 +36,18 @@ void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
     Matrix<T> b_mat(d2.size(t), d3.size(j));
     std::copy(b_panel.begin(), b_panel.end(), b_mat.data());
     gemm_accumulate(a_mat, b_mat, c_block);
+
+    session.boundary(t + 1, [&] {
+      SnapshotT<T> snap;
+      snap.bufs = {std::vector<T>(c_block.data(),
+                                  c_block.data() + c_block.size())};
+      return snap;
+    });
   }
 }
 
-template <typename T>
-Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg) {
-  const i64 g = cfg.g;
-  CAMB_CHECK_MSG(g * g == ctx.nprocs(), "SUMMA machine size must be g*g");
-  const i64 i = ctx.rank() / g;
-  const i64 j = ctx.rank() % g;
-  const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
-      d3(cfg.shape.n3, g);
-
-  // Owned blocks, generated in place.
-  const BlockChunk a_chunk = full_block(d1, i, d2, j);
-  const BlockChunk b_chunk = full_block(d2, i, d3, j);
-  const auto fill = [&](const BlockChunk& chunk) {
-    return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
-                              : fill_chunk_indexed<T>(chunk);
-  };
-  std::vector<T> a_own = fill(a_chunk);
-  std::vector<T> b_own = fill(b_chunk);
-
-  Block2DOutputT<T> out;
-  out.row0 = d1.start(i);
-  out.col0 = d3.start(j);
-  out.block = Matrix<T>(d1.size(i), d3.size(j));
-
-  // g x g grid as Grid3{g, g, 1}: fiber(1) is this rank's row comm (its
-  // index there is j), fiber(0) its column comm (index i).
-  const coll::GridComm grid(ctx, Grid3{g, g, 1});
-  summa_stage_loop(ctx, cfg, grid.fiber(1), grid.fiber(0), i, j, a_own, b_own,
-                   out.block);
-  return out;
-}
-
-#define CAMB_INSTANTIATE(T)                                                 \
-  template void summa_stage_loop<T>(RankCtx&, const SummaConfig&,           \
-                                    const coll::Comm&, const coll::Comm&,   \
-                                    i64, i64, const std::vector<T>&,        \
-                                    const std::vector<T>&, Matrix<T>&);     \
-  template Block2DOutputT<T> summa_rank<T>(RankCtx&, const SummaConfig&);
-CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
-#undef CAMB_INSTANTIATE
-
-template <typename T>
-Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
-                                  const SummaConfig& cfg) {
-  RankCtx& ctx = session.ctx();
+template <typename T, typename Session>
+Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg) {
   const i64 g = cfg.g;
   CAMB_CHECK_MSG(g * g == session.nprocs(), "SUMMA machine size must be g*g");
   const i64 i = session.rank() / g;
@@ -107,29 +55,18 @@ Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
   const BlockDist1D d1(cfg.shape.n1, g), d2(cfg.shape.n2, g),
       d3(cfg.shape.n3, g);
 
-  const BlockChunk a_chunk = full_block(d1, i, d2, j);
-  const BlockChunk b_chunk = full_block(d2, i, d3, j);
+  // Owned blocks, generated in place.
   const auto fill = [&](const BlockChunk& chunk) {
     return cfg.integer_inputs ? fill_chunk_indexed_int<T>(chunk)
                               : fill_chunk_indexed<T>(chunk);
   };
-  std::vector<T> a_own = fill(a_chunk);
-  std::vector<T> b_own = fill(b_chunk);
+  std::vector<T> a_own = fill(full_block(d1, i, d2, j));
+  std::vector<T> b_own = fill(full_block(d2, i, d3, j));
 
   Block2DOutputT<T> out;
   out.row0 = d1.start(i);
   out.col0 = d3.start(j);
   out.block = Matrix<T>(d1.size(i), d3.size(j));
-
-  // Fiber comms by logical rank: the row of (i, .) and the column of (., j).
-  std::vector<int> row_members, col_members;
-  for (i64 v = 0; v < g; ++v) {
-    row_members.push_back(static_cast<int>(i * g + v));
-    col_members.push_back(static_cast<int>(v * g + j));
-  }
-  const coll::Comm my_row = session.comm(row_members);
-  const coll::Comm my_col = session.comm(col_members);
-
   if (session.restored()) {
     const SnapshotT<T>& snap = session.snapshot();
     CAMB_CHECK(snap.bufs.size() == 1 &&
@@ -137,39 +74,23 @@ Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
     std::copy(snap.bufs[0].begin(), snap.bufs[0].end(), out.block.data());
   }
 
-  for (i64 t = session.resume_step(); t < g; ++t) {
-    ctx.set_phase(kPhaseSummaBcastA);
-    std::vector<T> a_panel = (t == j) ? a_own : std::vector<T>{};
-    const i64 a_elems = d1.size(i) * d2.size(t);
-    coll::bcast(my_row, static_cast<int>(t), a_panel, a_elems, cfg.bcast,
-                cfg.bcast_segments);
-
-    ctx.set_phase(kPhaseSummaBcastB);
-    std::vector<T> b_panel = (t == i) ? b_own : std::vector<T>{};
-    const i64 b_elems = d2.size(t) * d3.size(j);
-    coll::bcast(my_col, static_cast<int>(t), b_panel, b_elems, cfg.bcast,
-                cfg.bcast_segments);
-
-    ctx.set_phase(kPhaseSummaGemm);
-    Matrix<T> a_mat(d1.size(i), d2.size(t));
-    std::copy(a_panel.begin(), a_panel.end(), a_mat.data());
-    Matrix<T> b_mat(d2.size(t), d3.size(j));
-    std::copy(b_panel.begin(), b_panel.end(), b_mat.data());
-    gemm_accumulate(a_mat, b_mat, out.block);
-
-    session.boundary(t + 1, [&] {
-      SnapshotT<T> snap;
-      snap.bufs = {std::vector<T>(out.block.data(),
-                                  out.block.data() + out.block.size())};
-      return snap;
-    });
-  }
+  // The g x g grid is Grid3{g, g, 1}: fiber(0) is this rank's column comm
+  // (its index there is i), fiber(1) its row comm (index j), built in the
+  // axis order coll::GridComm uses.
+  const GridMap map(Grid3{g, g, 1});
+  const coll::Comm my_col = session.comm(map.fiber(0, i, j, 0));
+  const coll::Comm my_row = session.comm(map.fiber(1, i, j, 0));
+  summa_stage_loop<T>(session, cfg, my_row, my_col, i, j, a_own, b_own,
+                      out.block);
   return out;
 }
 
-#define CAMB_INSTANTIATE(T)                              \
-  template Block2DOutputT<T> summa_ckpt_rank<T>(         \
-      ckpt::SessionT<T>&, const SummaConfig&);
+#define CAMB_INSTANTIATE(T)                                                 \
+  CAMB_INSTANTIATE_BODY(T, Block2DOutputT<T>, summa_body, SummaConfig)      \
+  template void summa_stage_loop<T, PlainSession<T>>(                       \
+      PlainSession<T>&, const SummaConfig&, const coll::Comm&,              \
+      const coll::Comm&, i64, i64, const std::vector<T>&,                   \
+      const std::vector<T>&, Matrix<T>&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

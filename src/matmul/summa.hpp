@@ -10,9 +10,9 @@
 #pragma once
 
 #include "collectives/bcast.hpp"
-#include "collectives/rollback.hpp"
 #include "machine/machine.hpp"
 #include "matmul/distribution.hpp"
+#include "matmul/step_session.hpp"
 #include "util/matrix.hpp"
 
 namespace camb::mm {
@@ -37,18 +37,36 @@ struct Block2DOutputT {
 };
 using Block2DOutput = Block2DOutputT<double>;
 
-/// SPMD body for one rank; inputs generated with the indexed pattern.
-/// Templated over the scalar (CAMB_FOR_EACH_SCALAR set); the default keeps
-/// legacy double call sites source-compatible.
-template <typename T = double>
-Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg);
+/// SPMD body for one rank, written once against a step session
+/// (matmul/step_session.hpp): one epoch boundary after every stage, whose
+/// snapshot is the C accumulator.  Inputs are generated with the indexed
+/// pattern.  Instantiated for PlainSession<T> and ckpt::SessionT<T> over the
+/// CAMB_FOR_EACH_SCALAR set.
+template <typename T, typename Session>
+Block2DOutputT<T> summa_body(Session& session, const SummaConfig& cfg);
 
-/// The g-stage broadcast loop, parameterized by the fiber comms so the same
-/// code runs on the world grid (summa_rank) and on a survivors' recovery
-/// grid (the elastic twin).  (i, j) is this rank's logical grid position,
-/// a_own / b_own its owned blocks; C accumulates into `c_block`.
+/// The body on the machine's own ranks; the default scalar keeps legacy
+/// double call sites source-compatible.
+template <typename T = double>
+Block2DOutputT<T> summa_rank(RankCtx& ctx, const SummaConfig& cfg) {
+  PlainSession<T> session(ctx);
+  return summa_body<T>(session, cfg);
+}
+
+/// The body under a rollback session (what the checkpointed runner drives).
 template <typename T>
-void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
+Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
+                                  const SummaConfig& cfg) {
+  return summa_body<T>(session, cfg);
+}
+
+/// The g-stage broadcast loop from the session's resume step on,
+/// parameterized by the fiber comms so the same code runs on the world grid
+/// (summa_body) and on a survivors' recovery grid (the elastic twin).
+/// (i, j) is this rank's logical grid position, a_own / b_own its owned
+/// blocks; C accumulates into `c_block`.  Instantiated for PlainSession<T>.
+template <typename T, typename Session>
+void summa_stage_loop(Session& session, const SummaConfig& cfg,
                       const coll::Comm& my_row, const coll::Comm& my_col,
                       i64 i, i64 j, const std::vector<T>& a_own,
                       const std::vector<T>& b_own, Matrix<T>& c_block);
@@ -57,14 +75,7 @@ void summa_stage_loop(RankCtx& ctx, const SummaConfig& cfg,
 /// non-root of a stage receives the panel once).
 i64 summa_predicted_recv_words(const SummaConfig& cfg, int rank);
 
-/// Checkpointable twin of summa_rank: same math and word counts, but runs
-/// under a rollback session — recovery-region comms, epoch boundaries after
-/// every stage, and restore-from-snapshot on re-execution.
-template <typename T>
-Block2DOutputT<T> summa_ckpt_rank(ckpt::SessionT<T>& session,
-                                  const SummaConfig& cfg);
-
-/// Boundary steps the twin announces (one per SUMMA stage).
+/// Boundary steps the body announces (one per SUMMA stage).
 i64 summa_ckpt_steps(const SummaConfig& cfg);
 /// Wire words of logical rank `logical`'s snapshot at boundary `step`.
 i64 summa_ckpt_snapshot_words(const SummaConfig& cfg, int logical, i64 step);

@@ -4,6 +4,8 @@
 // (base algorithm + commit tax + agreement flood) word for word.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "collectives/rollback.hpp"
 #include "machine/checkpoint.hpp"
 #include "matmul/runner.hpp"
@@ -91,85 +93,117 @@ TEST(CkptFlood, ViewAndRecvWordFormulas) {
 }
 
 /// A clean checkpointed run must (a) verify bit-exactly, (b) produce the
-/// same output bits as the plain algorithm, and (c) hit its exact word-count
-/// prediction, including the checkpoint tax and the agreement flood.
+/// same output bits and peak working set as the plain algorithm, and (c)
+/// hit its exact word-count prediction, including the checkpoint tax and
+/// the agreement flood.
 void expect_clean_ckpt_exact(const mm::RunReport& plain,
                              const mm::RunReport& ckpt_report,
                              const char* what) {
-  ASSERT_TRUE(ckpt_report.verified) << what;
+  const std::string where =
+      std::string(what) + " " + dtype_name(ckpt_report.dtype);
+  ASSERT_TRUE(ckpt_report.verified) << where;
   // Bit-identical outputs carry the plain run's (fp-roundoff) residual too.
-  EXPECT_EQ(ckpt_report.max_abs_error, plain.max_abs_error) << what;
-  EXPECT_EQ(ckpt_report.output_hash, plain.output_hash) << what;
+  EXPECT_EQ(ckpt_report.max_abs_error, plain.max_abs_error) << where;
+  EXPECT_EQ(ckpt_report.output_hash, plain.output_hash) << where;
+  EXPECT_EQ(ckpt_report.measured_peak_memory_words,
+            plain.measured_peak_memory_words)
+      << where;
   EXPECT_EQ(ckpt_report.measured_critical_recv,
             ckpt_report.predicted_words())
-      << what << ": " << ckpt_report.resilience.summary();
-  EXPECT_TRUE(ckpt_report.resilience.enabled) << what;
-  EXPECT_EQ(ckpt_report.resilience.rounds, 1) << what;
-  EXPECT_EQ(ckpt_report.resilience.final_epoch, 0) << what;
-  EXPECT_TRUE(ckpt_report.resilience.failed.empty()) << what;
-  EXPECT_EQ(ckpt_report.resilience.restream_recv_words, 0) << what;
-  EXPECT_GT(ckpt_report.resilience.flood_recv_words, 0) << what;
+      << where << ": " << ckpt_report.resilience.summary();
+  EXPECT_TRUE(ckpt_report.resilience.enabled) << where;
+  EXPECT_EQ(ckpt_report.resilience.rounds, 1) << where;
+  EXPECT_EQ(ckpt_report.resilience.final_epoch, 0) << where;
+  EXPECT_TRUE(ckpt_report.resilience.failed.empty()) << where;
+  EXPECT_EQ(ckpt_report.resilience.restream_recv_words, 0) << where;
+  EXPECT_GT(ckpt_report.resilience.flood_recv_words, 0) << where;
 }
 
-mm::RunOptions ckpt_opts(i64 interval, int spares, int stride = 1) {
-  mm::RunOptions opts;
-  opts.verify = mm::VerifyMode::kReference;
+/// Reference-verified options in `dtype`, committing a checkpoint every
+/// `interval` boundary steps; interval 0 turns checkpointing off (the
+/// plain run every checkpointed one is compared against).
+mm::RunOptions ckpt_opts(DType dtype, i64 interval, int spares = 0,
+                         int stride = 1) {
+  mm::RunOptions opts = mm::RunOptions::verified(mm::VerifyMode::kReference);
+  opts.dtype = dtype;
   opts.checkpoint.interval = interval;
   opts.checkpoint.spares = spares;
   opts.checkpoint.buddy_stride = stride;
   return opts;
 }
 
-const mm::RunOptions kPlain = mm::RunOptions::verified(mm::VerifyMode::kReference);
+/// Every clean case runs in each data-path width: 8-byte floating point,
+/// 4-byte snapshot wires, and native integers.
+constexpr DType kDTypes[] = {DType::kF64, DType::kF32, DType::kI64};
 
 TEST(CheckpointClean, SummaExactWithAndWithoutSpare) {
-  const mm::SummaConfig cfg{{27, 15, 12}, 3};
-  const mm::RunReport plain = mm::run_summa(cfg, kPlain);
-  for (int spares : {0, 1}) {
-    expect_clean_ckpt_exact(plain, mm::run_summa(cfg, ckpt_opts(1, spares)),
-                            "summa");
+  for (DType dt : kDTypes) {
+    for (bool integer_inputs : {false, true}) {
+      mm::SummaConfig cfg{{27, 15, 12}, 3};
+      cfg.integer_inputs = integer_inputs;
+      const mm::RunReport plain = mm::run_summa(cfg, ckpt_opts(dt, 0));
+      for (int spares : {0, 1}) {
+        expect_clean_ckpt_exact(
+            plain, mm::run_summa(cfg, ckpt_opts(dt, 1, spares)), "summa");
+      }
+      // A sparser interval commits fewer epochs: smaller tax, still exact.
+      const mm::RunReport sparse = mm::run_summa(cfg, ckpt_opts(dt, 2, 1));
+      expect_clean_ckpt_exact(plain, sparse, "summa interval=2");
+      const mm::RunReport dense = mm::run_summa(cfg, ckpt_opts(dt, 1, 1));
+      EXPECT_LT(sparse.resilience.checkpoint_recv_words,
+                dense.resilience.checkpoint_recv_words);
+    }
   }
-  // A sparser interval commits fewer epochs: smaller tax, still exact.
-  const mm::RunReport sparse = mm::run_summa(cfg, ckpt_opts(2, 1));
-  expect_clean_ckpt_exact(plain, sparse, "summa interval=2");
-  const mm::RunReport dense = mm::run_summa(cfg, ckpt_opts(1, 1));
-  EXPECT_LT(sparse.resilience.checkpoint_recv_words,
-            dense.resilience.checkpoint_recv_words);
 }
 
 TEST(CheckpointClean, SummaBuddyStrideTwoExact) {
   const mm::SummaConfig cfg{{27, 15, 12}, 3};
-  const mm::RunReport plain = mm::run_summa(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_summa(cfg, ckpt_opts(1, 1, 2)),
-                          "summa stride=2");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_summa(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(plain, mm::run_summa(cfg, ckpt_opts(dt, 1, 1, 2)),
+                            "summa stride=2");
+  }
 }
 
 TEST(CheckpointClean, CannonExact) {
   const mm::CannonConfig cfg{{12, 9, 6}, 3};
-  const mm::RunReport plain = mm::run_cannon(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_cannon(cfg, ckpt_opts(1, 1)),
-                          "cannon");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_cannon(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(plain, mm::run_cannon(cfg, ckpt_opts(dt, 1, 1)),
+                            "cannon");
+  }
 }
 
 TEST(CheckpointClean, NaiveBcastExact) {
   const mm::NaiveBcastConfig cfg{{8, 6, 4}};
-  const mm::RunReport plain = mm::run_naive_bcast(cfg, 4, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_naive_bcast(cfg, 4, ckpt_opts(1, 1)),
-                          "naive_bcast");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_naive_bcast(cfg, 4, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(
+        plain, mm::run_naive_bcast(cfg, 4, ckpt_opts(dt, 1, 1)),
+        "naive_bcast");
+  }
 }
 
 TEST(CheckpointClean, Grid3dExact) {
-  const mm::Grid3dConfig cfg{{12, 10, 8}, core::Grid3{2, 2, 2}};
-  const mm::RunReport plain = mm::run_grid3d(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_grid3d(cfg, ckpt_opts(1, 1)),
-                          "grid3d");
+  for (DType dt : kDTypes) {
+    for (bool integer_inputs : {false, true}) {
+      mm::Grid3dConfig cfg{{12, 10, 8}, core::Grid3{2, 2, 2}};
+      cfg.integer_inputs = integer_inputs;
+      const mm::RunReport plain = mm::run_grid3d(cfg, ckpt_opts(dt, 0));
+      expect_clean_ckpt_exact(plain, mm::run_grid3d(cfg, ckpt_opts(dt, 1, 1)),
+                              "grid3d");
+    }
+  }
 }
 
 TEST(CheckpointClean, Grid3dAgarwalExact) {
   const mm::Grid3dAgarwalConfig cfg{{12, 10, 8}, core::Grid3{2, 2, 2}};
-  const mm::RunReport plain = mm::run_grid3d_agarwal(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_grid3d_agarwal(cfg, ckpt_opts(1, 1)),
-                          "grid3d_agarwal");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_grid3d_agarwal(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(
+        plain, mm::run_grid3d_agarwal(cfg, ckpt_opts(dt, 1, 1)),
+        "grid3d_agarwal");
+  }
 }
 
 TEST(CheckpointClean, Grid3dStagedExact) {
@@ -177,41 +211,55 @@ TEST(CheckpointClean, Grid3dStagedExact) {
   cfg.shape = {12, 12, 8};
   cfg.grid = core::Grid3{2, 2, 2};
   cfg.stages = 3;
-  const mm::RunReport plain = mm::run_grid3d_staged(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_grid3d_staged(cfg, ckpt_opts(1, 1)),
-                          "grid3d_staged");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_grid3d_staged(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(
+        plain, mm::run_grid3d_staged(cfg, ckpt_opts(dt, 1, 1)),
+        "grid3d_staged");
+  }
 }
 
 TEST(CheckpointClean, CarmaExact) {
   const mm::CarmaConfig cfg{{16, 16, 16}, 3};
-  const mm::RunReport plain = mm::run_carma(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_carma(cfg, ckpt_opts(1, 1)),
-                          "carma");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_carma(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(plain, mm::run_carma(cfg, ckpt_opts(dt, 1, 1)),
+                            "carma");
+  }
 }
 
 TEST(CheckpointClean, Alg25dExact) {
-  mm::Alg25dConfig cfg;
-  cfg.shape = {12, 12, 12};
-  cfg.g = 2;
-  cfg.c = 2;
-  const mm::RunReport plain = mm::run_alg25d(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_alg25d(cfg, ckpt_opts(1, 1)),
-                          "alg25d");
+  for (DType dt : kDTypes) {
+    for (bool integer_inputs : {false, true}) {
+      mm::Alg25dConfig cfg;
+      cfg.shape = {12, 12, 12};
+      cfg.g = 2;
+      cfg.c = 2;
+      cfg.integer_inputs = integer_inputs;
+      const mm::RunReport plain = mm::run_alg25d(cfg, ckpt_opts(dt, 0));
+      expect_clean_ckpt_exact(plain, mm::run_alg25d(cfg, ckpt_opts(dt, 1, 1)),
+                              "alg25d");
+    }
+  }
 }
 
 TEST(CheckpointClean, SummaAbftExact) {
   const mm::SummaAbftConfig cfg{mm::SummaConfig{{27, 15, 12}, 3}};
-  const mm::RunReport plain = mm::run_summa_abft(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_summa_abft(cfg, ckpt_opts(1, 1)),
-                          "summa_abft");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_summa_abft(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(
+        plain, mm::run_summa_abft(cfg, ckpt_opts(dt, 1, 1)), "summa_abft");
+  }
 }
 
 TEST(CheckpointClean, Grid3dAbftExact) {
   const mm::Grid3dAbftConfig cfg{
       mm::Grid3dConfig{{12, 10, 8}, core::Grid3{2, 2, 2}}};
-  const mm::RunReport plain = mm::run_grid3d_abft(cfg, kPlain);
-  expect_clean_ckpt_exact(plain, mm::run_grid3d_abft(cfg, ckpt_opts(1, 1)),
-                          "grid3d_abft");
+  for (DType dt : kDTypes) {
+    const mm::RunReport plain = mm::run_grid3d_abft(cfg, ckpt_opts(dt, 0));
+    expect_clean_ckpt_exact(
+        plain, mm::run_grid3d_abft(cfg, ckpt_opts(dt, 1, 1)), "grid3d_abft");
+  }
 }
 
 }  // namespace

@@ -16,6 +16,9 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 // ---------------------------------------------------------------------------
 // Algorithm 1 across every factor-triple grid of several machine sizes.
 // ---------------------------------------------------------------------------
@@ -31,7 +34,7 @@ TEST_P(Grid3dEveryGrid, CorrectCountedAndBounded) {
   const Shape shape = shapes[shape_index];
   for (const Grid3& grid : camb::core::all_grids(P)) {
     Grid3dConfig cfg{shape, grid};
-    const RunReport report = run_grid3d(cfg, true);
+    const RunReport report = run_grid3d(cfg, kVerified);
     EXPECT_LE(report.max_abs_error, 1e-10)
         << "grid=" << grid.p1 << "x" << grid.p2 << "x" << grid.p3;
     EXPECT_EQ(report.measured_critical_recv, report.predicted_words())
@@ -60,7 +63,7 @@ TEST_P(ExecutedTightness, MeasuredCommEqualsTheorem3) {
   const auto& tr = GetParam();
   ASSERT_TRUE(camb::core::grid_divides(tr.shape, tr.grid));
   Grid3dConfig cfg{tr.shape, tr.grid};
-  const RunReport report = run_grid3d(cfg, true);
+  const RunReport report = run_grid3d(cfg, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10);
   // Equality, not just >=: the executed words match the bound exactly (up to
   // the fp rounding of pow() in the bound's 2/3-power evaluation).
@@ -91,10 +94,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CrossAlgorithm, AllProduceTheSameResult) {
   const Shape shape{24, 24, 24};
-  const auto g3 = run_grid3d(Grid3dConfig{shape, Grid3{2, 2, 1}}, true);
-  const auto su = run_summa(SummaConfig{shape, 2}, true);
-  const auto ca = run_cannon(CannonConfig{shape, 2}, true);
-  const auto nb = run_naive_bcast(NaiveBcastConfig{shape}, 4, true);
+  const auto g3 = run_grid3d(Grid3dConfig{shape, Grid3{2, 2, 1}}, kVerified);
+  const auto su = run_summa(SummaConfig{shape, 2}, kVerified);
+  const auto ca = run_cannon(CannonConfig{shape, 2}, kVerified);
+  const auto nb = run_naive_bcast(NaiveBcastConfig{shape}, 4, kVerified);
   for (const auto* report : {&g3, &su, &ca, &nb}) {
     EXPECT_LE(report->max_abs_error, 1e-10);
   }
@@ -112,9 +115,9 @@ TEST(CrossAlgorithm, OptimalNeverLosesOnItsOwnTurf) {
                         Case{Shape{32, 32, 32}, 16, 4},
                         Case{Shape{36, 24, 12}, 9, 3}}) {
     const Grid3 grid = camb::core::best_integer_grid(c.shape, c.P);
-    const auto optimal = run_grid3d(Grid3dConfig{c.shape, grid}, false);
-    const auto summa = run_summa(SummaConfig{c.shape, c.g2d}, false);
-    const auto cannon = run_cannon(CannonConfig{c.shape, c.g2d}, false);
+    const auto optimal = run_grid3d(Grid3dConfig{c.shape, grid}, kUnverified);
+    const auto summa = run_summa(SummaConfig{c.shape, c.g2d}, kUnverified);
+    const auto cannon = run_cannon(CannonConfig{c.shape, c.g2d}, kUnverified);
     EXPECT_LE(optimal.measured_critical_recv, summa.measured_critical_recv)
         << "shape=(" << c.shape.n1 << "," << c.shape.n2 << "," << c.shape.n3
         << ")";
@@ -146,7 +149,7 @@ TEST(MediumScale, SixtyFourRanksCubicGrid) {
   const Shape shape{64, 64, 64};
   const Grid3 grid{4, 4, 4};
   Grid3dConfig cfg{shape, grid};
-  const RunReport report = run_grid3d(cfg, true);
+  const RunReport report = run_grid3d(cfg, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10);
   EXPECT_EQ(report.measured_critical_recv, report.predicted_words());
   // Square shape, P = 64 cubic grid: exact optimum.

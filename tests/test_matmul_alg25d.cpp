@@ -12,8 +12,11 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void expect_correct_and_counted(const Shape& shape, i64 g, i64 c) {
-  const RunReport report = run_alg25d(Alg25dConfig{shape, g, c}, true);
+  const RunReport report = run_alg25d(Alg25dConfig{shape, g, c}, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10)
       << "shape=(" << shape.n1 << "," << shape.n2 << "," << shape.n3
       << ") g=" << g << " c=" << c;
@@ -26,8 +29,8 @@ void expect_correct_and_counted(const Shape& shape, i64 g, i64 c) {
 TEST(Alg25d, SingleLayerIsCannon) {
   // c = 1 degenerates to Cannon: same result, same words as cannon_rank.
   const Shape shape{12, 12, 12};
-  const auto flat = run_alg25d(Alg25dConfig{shape, 3, 1}, true);
-  const auto cannon = run_cannon(CannonConfig{shape, 3}, true);
+  const auto flat = run_alg25d(Alg25dConfig{shape, 3, 1}, kVerified);
+  const auto cannon = run_cannon(CannonConfig{shape, 3}, kVerified);
   EXPECT_LE(flat.max_abs_error, 1e-10);
   EXPECT_EQ(flat.measured_critical_recv, cannon.measured_critical_recv);
 }
@@ -57,9 +60,9 @@ TEST(Alg25d, ReplicationReducesShiftTraffic) {
   // c = 1 and c = 2 at g = 4 (different P but per-rank words must drop with
   // c because each layer does only g/c shift steps).
   const Shape shape{24, 24, 24};
-  const auto c1 = run_alg25d(Alg25dConfig{shape, 4, 1}, false);
-  const auto c2 = run_alg25d(Alg25dConfig{shape, 4, 2}, false);
-  const auto c4 = run_alg25d(Alg25dConfig{shape, 4, 4}, false);
+  const auto c1 = run_alg25d(Alg25dConfig{shape, 4, 1}, kUnverified);
+  const auto c2 = run_alg25d(Alg25dConfig{shape, 4, 2}, kUnverified);
+  const auto c4 = run_alg25d(Alg25dConfig{shape, 4, 4}, kUnverified);
   auto phase_words = [](const RunReport& report, const char* name) {
     const auto it = report.phase_recv.find(name);
     return it == report.phase_recv.end() ? i64{0} : it->second;
@@ -76,7 +79,7 @@ TEST(Alg25d, RespectsLowerBoundEverywhere) {
   for (const auto& [g, c] : {std::pair<i64, i64>{2, 1}, {2, 2}, {4, 2},
                              {4, 4}, {6, 2}}) {
     const Shape shape{24, 24, 24};
-    const auto report = run_alg25d(Alg25dConfig{shape, g, c}, false);
+    const auto report = run_alg25d(Alg25dConfig{shape, g, c}, kUnverified);
     EXPECT_GE(static_cast<double>(report.measured_critical_recv) + 1e-6,
               report.lower_bound_words)
         << "g=" << g << " c=" << c;
@@ -90,7 +93,7 @@ TEST(Alg25d, MemoryModelIsPerLayerBlocks) {
 
 TEST(Alg25d, CostModelMatchesMeasuredCriticalPath) {
   const Alg25dConfig cfg{Shape{24, 24, 24}, 4, 2};
-  const auto report = run_alg25d(cfg, false);
+  const auto report = run_alg25d(cfg, kUnverified);
   EXPECT_DOUBLE_EQ(alg25d_cost_words(cfg),
                    static_cast<double>(report.measured_critical_recv));
 }
@@ -100,9 +103,9 @@ TEST(Alg25d, Alg1MatchesOrBeats25dBandwidth) {
   // bandwidth with plain collectives.
   const Shape shape{24, 24, 24};
   const i64 g = 4, c = 2;
-  const auto alg25d = run_alg25d(Alg25dConfig{shape, g, c}, false);
+  const auto alg25d = run_alg25d(Alg25dConfig{shape, g, c}, kUnverified);
   const auto alg1 = run_grid3d(
-      Grid3dConfig{shape, camb::core::Grid3{g, c, g}}, false);
+      Grid3dConfig{shape, camb::core::Grid3{g, c, g}}, kUnverified);
   EXPECT_LE(alg1.measured_critical_recv, alg25d.measured_critical_recv);
 }
 

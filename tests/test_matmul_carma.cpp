@@ -13,10 +13,13 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void expect_correct_and_counted(const Shape& shape, int levels) {
   ASSERT_TRUE(carma_supported(shape, levels))
       << shape.n1 << "x" << shape.n2 << "x" << shape.n3 << " levels=" << levels;
-  const RunReport report = run_carma(CarmaConfig{shape, levels}, true);
+  const RunReport report = run_carma(CarmaConfig{shape, levels}, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10)
       << shape.n1 << "x" << shape.n2 << "x" << shape.n3 << " levels=" << levels;
   EXPECT_EQ(report.measured_critical_recv, report.predicted_words());
@@ -25,7 +28,7 @@ void expect_correct_and_counted(const Shape& shape, int levels) {
 }
 
 TEST(Carma, SingleRankNoComm) {
-  const RunReport report = run_carma(CarmaConfig{Shape{8, 6, 4}, 0}, true);
+  const RunReport report = run_carma(CarmaConfig{Shape{8, 6, 4}, 0}, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-12);
   EXPECT_EQ(report.total_network_words, 0);
 }
@@ -68,7 +71,7 @@ TEST(Carma, RespectsButDoesNotAttainTheBoundInGeneral) {
   // constants are looser; on a square problem the measured words sit above
   // the bound yet within a small constant of it.
   const Shape shape{64, 64, 64};
-  const auto report = run_carma(CarmaConfig{shape, 6}, false);
+  const auto report = run_carma(CarmaConfig{shape, 6}, kUnverified);
   const double ratio =
       static_cast<double>(report.measured_critical_recv) /
       report.lower_bound_words;
@@ -76,7 +79,7 @@ TEST(Carma, RespectsButDoesNotAttainTheBoundInGeneral) {
   EXPECT_LT(ratio, 4.0);
   // Algorithm 1 on the same problem attains the bound exactly.
   const auto alg1 = run_grid3d(
-      Grid3dConfig{shape, camb::core::Grid3{4, 4, 4}}, false);
+      Grid3dConfig{shape, camb::core::Grid3{4, 4, 4}}, kUnverified);
   EXPECT_LT(alg1.measured_critical_recv, report.measured_critical_recv);
 }
 
@@ -87,7 +90,7 @@ TEST(Carma, RecursionAdaptsToAspectRatio) {
   const Shape shape{256, 16, 16};
   const auto seq = carma_split_sequence(CarmaConfig{shape, 3});
   EXPECT_EQ(seq, (std::vector<char>{'M', 'M', 'M'}));
-  const auto report = run_carma(CarmaConfig{shape, 3}, true);
+  const auto report = run_carma(CarmaConfig{shape, 3}, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10);
   // M-splits replicate only B: per-rank received words stay at the scale of
   // |B| = 256 words, far below |A|/P = 4096.

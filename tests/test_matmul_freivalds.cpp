@@ -75,7 +75,8 @@ TEST(Freivalds, RunnerAutoModeUsesItForLargeShapes) {
   // the report carries a residual, not NaN.
   const Shape shape{512, 512, 512};  // 134M flops > auto threshold
   const auto report = run_grid3d(
-      Grid3dConfig{shape, camb::core::Grid3{4, 4, 4}}, VerifyMode::kAuto);
+      Grid3dConfig{shape, camb::core::Grid3{4, 4, 4}},
+      RunOptions::verified(VerifyMode::kAuto));
   EXPECT_TRUE(report.verified);
   EXPECT_FALSE(std::isnan(report.max_abs_error));
   EXPECT_LT(report.max_abs_error, 1e-9);
@@ -84,9 +85,11 @@ TEST(Freivalds, RunnerAutoModeUsesItForLargeShapes) {
 TEST(Freivalds, RunnerReferenceAndFreivaldsAgreeOnSmallShapes) {
   const Shape shape{24, 24, 24};
   const auto ref = run_grid3d(
-      Grid3dConfig{shape, camb::core::Grid3{2, 2, 2}}, VerifyMode::kReference);
+      Grid3dConfig{shape, camb::core::Grid3{2, 2, 2}},
+      RunOptions::verified(VerifyMode::kReference));
   const auto fre = run_grid3d(
-      Grid3dConfig{shape, camb::core::Grid3{2, 2, 2}}, VerifyMode::kFreivalds);
+      Grid3dConfig{shape, camb::core::Grid3{2, 2, 2}},
+      RunOptions::verified(VerifyMode::kFreivalds));
   EXPECT_LT(ref.max_abs_error, 1e-10);
   EXPECT_LT(fre.max_abs_error, 1e-10);
 }

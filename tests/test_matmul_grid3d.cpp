@@ -12,10 +12,13 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void expect_correct_and_exactly_counted(const Shape& shape, const Grid3& grid) {
   Grid3dConfig cfg{shape, grid, coll::AllgatherAlgo::kAuto,
                    coll::ReduceScatterAlgo::kAuto};
-  const RunReport report = run_grid3d(cfg, /*verify=*/true);
+  const RunReport report = run_grid3d(cfg, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10)
       << "shape=(" << shape.n1 << "," << shape.n2 << "," << shape.n3
       << ") grid=" << grid.p1 << "x" << grid.p2 << "x" << grid.p3;
@@ -26,7 +29,7 @@ void expect_correct_and_exactly_counted(const Shape& shape, const Grid3& grid) {
 
 TEST(Grid3d, SingleProcessorNoComm) {
   Grid3dConfig cfg{Shape{8, 6, 4}, Grid3{1, 1, 1}};
-  const RunReport report = run_grid3d(cfg, true);
+  const RunReport report = run_grid3d(cfg, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-12);
   EXPECT_EQ(report.measured_critical_recv, 0);
   EXPECT_EQ(report.total_network_words, 0);
@@ -72,7 +75,7 @@ TEST(Grid3d, CollectiveVariantsAgree) {
     for (auto rs : {coll::ReduceScatterAlgo::kRing,
                     coll::ReduceScatterAlgo::kRecursiveHalving}) {
       Grid3dConfig cfg{shape, grid, ag, rs};
-      const RunReport report = run_grid3d(cfg, true);
+      const RunReport report = run_grid3d(cfg, kVerified);
       EXPECT_LE(report.max_abs_error, 1e-10);
       EXPECT_EQ(report.measured_critical_recv, report.predicted_words());
     }
@@ -85,7 +88,7 @@ TEST(Grid3d, PhaseBreakdownMatchesEq3UnderDivisibility) {
   const Shape shape{24, 12, 8};
   const Grid3 grid{2, 3, 2};
   Grid3dConfig cfg{shape, grid};
-  const RunReport report = run_grid3d(cfg, false);
+  const RunReport report = run_grid3d(cfg, kUnverified);
   const auto breakdown = camb::core::alg1_comm_breakdown(shape, grid);
   EXPECT_DOUBLE_EQ(
       static_cast<double>(report.phase_recv.at(kPhaseAllgatherA)),
@@ -111,7 +114,7 @@ TEST(Grid3d, AttainsLowerBoundExactlyWithOptimalGrid) {
   for (const auto& c : {Case{3, Grid3{3, 1, 1}}, Case{16, Grid3{8, 2, 1}},
                         Case{64, Grid3{16, 4, 1}}}) {
     Grid3dConfig cfg{shape, c.grid};
-    const RunReport report = run_grid3d(cfg, true);
+    const RunReport report = run_grid3d(cfg, kVerified);
     EXPECT_LE(report.max_abs_error, 1e-10);
     EXPECT_DOUBLE_EQ(static_cast<double>(report.measured_critical_recv),
                      report.lower_bound_words)

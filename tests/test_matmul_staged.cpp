@@ -13,10 +13,13 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 void expect_correct_and_counted(const Shape& shape, const Grid3& grid,
                                 i64 stages) {
   Grid3dStagedConfig cfg{shape, grid, stages};
-  const RunReport report = run_grid3d_staged(cfg, true);
+  const RunReport report = run_grid3d_staged(cfg, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10)
       << "shape=(" << shape.n1 << "," << shape.n2 << "," << shape.n3
       << ") grid=" << grid.p1 << "x" << grid.p2 << "x" << grid.p3
@@ -28,8 +31,9 @@ void expect_correct_and_counted(const Shape& shape, const Grid3& grid,
 TEST(Grid3dStaged, OneStageMatchesUnstagedExactly) {
   const Shape shape{16, 12, 8};
   const Grid3 grid{2, 3, 2};
-  const auto unstaged = run_grid3d(Grid3dConfig{shape, grid}, true);
-  const auto staged = run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, true);
+  const auto unstaged = run_grid3d(Grid3dConfig{shape, grid}, kVerified);
+  const auto staged =
+      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, kVerified);
   EXPECT_LE(staged.max_abs_error, 1e-10);
   EXPECT_EQ(staged.measured_critical_recv, unstaged.measured_critical_recv);
   EXPECT_EQ(staged.measured_critical_messages,
@@ -59,10 +63,11 @@ TEST(Grid3dStaged, BandwidthUnaffectedByStaging) {
   // count (same grid, divisible shape so strip rounding is exact).
   const Shape shape{24, 12, 8};
   const Grid3 grid{2, 2, 2};
-  const auto one = run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, false);
+  const auto one =
+      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, kUnverified);
   for (i64 stages : {2, 3, 4, 6}) {
     const auto s = run_grid3d_staged(Grid3dStagedConfig{shape, grid, stages},
-                                     false);
+                                     kUnverified);
     EXPECT_EQ(s.measured_critical_recv, one.measured_critical_recv)
         << "stages=" << stages;
   }
@@ -71,8 +76,10 @@ TEST(Grid3dStaged, BandwidthUnaffectedByStaging) {
 TEST(Grid3dStaged, LatencyGrowsWithStages) {
   const Shape shape{24, 12, 8};
   const Grid3 grid{2, 2, 2};
-  const auto one = run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, false);
-  const auto six = run_grid3d_staged(Grid3dStagedConfig{shape, grid, 6}, false);
+  const auto one =
+      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 1}, kUnverified);
+  const auto six =
+      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 6}, kUnverified);
   EXPECT_GT(six.measured_critical_messages, one.measured_critical_messages);
   // Message counts match the analytic model.
   EXPECT_EQ(six.measured_critical_messages,
@@ -112,7 +119,7 @@ TEST(Grid3dStaged, StillAttainsBoundOnOptimalGrid) {
   const Shape shape{384, 96, 24};
   const Grid3 grid{8, 2, 1};  // the P = 16 optimal grid
   const auto report =
-      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 4}, true);
+      run_grid3d_staged(Grid3dStagedConfig{shape, grid, 4}, kVerified);
   EXPECT_LE(report.max_abs_error, 1e-10);
   EXPECT_NEAR(static_cast<double>(report.measured_critical_recv),
               report.lower_bound_words, 1e-9 * report.lower_bound_words);

@@ -9,6 +9,8 @@ namespace {
 using camb::core::Grid3;
 using camb::core::Shape;
 
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 TEST(TimeModel, TermsAreSeparable) {
   const Shape shape{96, 96, 96};
   const Grid3 grid{4, 4, 4};
@@ -52,7 +54,7 @@ TEST(TimeModel, MatchesMeasuredRun) {
   const Grid3 grid{2, 2, 2};
   MachineParams params{1e-5, 1e-8, 0.0};
   const auto predicted = alg1_time(shape, grid, params);
-  const auto report = run_grid3d(Grid3dConfig{shape, grid}, false);
+  const auto report = run_grid3d(Grid3dConfig{shape, grid}, kUnverified);
   const double measured = measured_time(report, 0.0, params);
   EXPECT_NEAR(predicted.total(), measured, 1e-12);
 }

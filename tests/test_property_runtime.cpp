@@ -16,6 +16,8 @@ namespace {
 using camb::core::Grid3;
 using camb::core::Shape;
 
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 // ---------------------------------------------------------------------------
 // Scheduled time vs closed form for Algorithm 1 across grids and variants.
 // ---------------------------------------------------------------------------
@@ -100,11 +102,11 @@ TEST(RegistryRuntime, SimulatedTimePositiveIffCommunicating) {
   const Shape shape{16, 16, 16};
   for (const auto& algorithm : algorithm_registry()) {
     if (algorithm.supports(shape, 1)) {
-      const auto solo = algorithm.run(shape, 1, false);
+      const auto solo = algorithm.run_opts(shape, 1, kUnverified);
       EXPECT_DOUBLE_EQ(solo.simulated_time, 0.0) << algorithm.name;
     }
     if (algorithm.supports(shape, 4)) {
-      const auto parallel = algorithm.run(shape, 4, false);
+      const auto parallel = algorithm.run_opts(shape, 4, kUnverified);
       EXPECT_GT(parallel.simulated_time, 0.0) << algorithm.name;
       if (algorithm.name == "grid3d_optimal") {
         // Symmetric collectives: the unit-β clock is at least the words the
@@ -120,8 +122,10 @@ TEST(RegistryRuntime, TimeDominatedByDependencyDepthNotVolumeAlone) {
   // The naive baseline's broadcast serializes through rank 0 (its clock grows
   // with log P trees of full matrices); Algorithm 1's collectives do not.
   const Shape shape{32, 32, 32};
-  const auto optimal = algorithm_by_name("grid3d_optimal").run(shape, 8, false);
-  const auto naive = algorithm_by_name("naive_bcast").run(shape, 8, false);
+  const auto optimal =
+      algorithm_by_name("grid3d_optimal").run_opts(shape, 8, kUnverified);
+  const auto naive =
+      algorithm_by_name("naive_bcast").run_opts(shape, 8, kUnverified);
   EXPECT_LT(optimal.simulated_time, naive.simulated_time);
 }
 

@@ -11,6 +11,9 @@ namespace {
 
 using camb::core::Shape;
 
+const RunOptions kVerified = RunOptions::verified(VerifyMode::kReference);
+const RunOptions kUnverified{};  // VerifyMode::kNone: no assembly
+
 class RandomSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomSweep, EveryAlgorithmEveryInvariant) {
@@ -21,7 +24,7 @@ TEST_P(RandomSweep, EveryAlgorithmEveryInvariant) {
   const i64 P = candidates[rng.below(10)];
   for (const auto& algorithm : algorithm_registry()) {
     if (!algorithm.supports(shape, P)) continue;
-    const RunReport report = algorithm.run(shape, P, /*verify=*/true);
+    const RunReport report = algorithm.run_opts(shape, P, kVerified);
     EXPECT_LE(report.max_abs_error, 1e-9)
         << algorithm.name << " shape=(" << shape.n1 << "," << shape.n2 << ","
         << shape.n3 << ") P=" << P;
@@ -66,7 +69,7 @@ TEST(Registry, BandwidthOptimalFlagsAttainTheBoundOnOptimalConfigs) {
       camb::core::memory_independent_bound(shape, static_cast<double>(P));
   for (const auto& algorithm : algorithm_registry()) {
     if (!algorithm.supports(shape, P)) continue;
-    const RunReport report = algorithm.run(shape, P, false);
+    const RunReport report = algorithm.run_opts(shape, P, kUnverified);
     if (algorithm.bandwidth_optimal) {
       EXPECT_NEAR(static_cast<double>(report.measured_critical_recv),
                   bound.words, 1e-9 * bound.words)
@@ -84,9 +87,9 @@ TEST(AgarwalVariant, SameBandwidthAsAlg1MoreMessages) {
   // strictly more messages for p2 > 2 (p2 - 1 vs ceil(log2 p2) rounds).
   const Shape shape{24, 32, 16};
   const camb::core::Grid3 grid{2, 8, 2};
-  const auto alg1 = run_grid3d(Grid3dConfig{shape, grid}, true);
+  const auto alg1 = run_grid3d(Grid3dConfig{shape, grid}, kVerified);
   const auto agarwal =
-      run_grid3d_agarwal(Grid3dAgarwalConfig{shape, grid}, true);
+      run_grid3d_agarwal(Grid3dAgarwalConfig{shape, grid}, kVerified);
   EXPECT_LE(alg1.max_abs_error, 1e-10);
   EXPECT_LE(agarwal.max_abs_error, 1e-10);
   EXPECT_EQ(agarwal.measured_critical_recv, alg1.measured_critical_recv);
@@ -100,8 +103,8 @@ TEST(AgarwalVariant, BruckAlltoallTradesBandwidthForLatency) {
   Grid3dAgarwalConfig pairwise{shape, grid};
   Grid3dAgarwalConfig bruck{shape, grid, coll::AllgatherAlgo::kAuto,
                             coll::AlltoallAlgo::kBruck};
-  const auto pw = run_grid3d_agarwal(pairwise, true);
-  const auto br = run_grid3d_agarwal(bruck, true);
+  const auto pw = run_grid3d_agarwal(pairwise, kVerified);
+  const auto br = run_grid3d_agarwal(bruck, kVerified);
   EXPECT_LE(br.max_abs_error, 1e-10);
   EXPECT_EQ(pw.measured_critical_recv, pw.predicted_words());
   EXPECT_EQ(br.measured_critical_recv, br.predicted_words());
