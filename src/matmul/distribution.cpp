@@ -1,8 +1,7 @@
 #include "matmul/distribution.hpp"
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "util/scalar.hpp"
+#include "util/matrix.hpp"
 
 namespace camb::mm {
 
@@ -85,13 +84,8 @@ std::vector<T> fill_chunk_indexed(const BlockChunk& chunk) {
   std::vector<T> out(static_cast<std::size_t>(chunk.flat_size));
   for (i64 f = 0; f < chunk.flat_size; ++f) {
     const i64 flat = chunk.flat_start + f;
-    const i64 i = flat / chunk.cols;
-    const i64 j = flat % chunk.cols;
-    std::uint64_t s = static_cast<std::uint64_t>(
-        (chunk.row0 + i) * 0x1000003 + (chunk.col0 + j));
-    const double u =
-        static_cast<double>(camb::splitmix64(s) >> 11) * 0x1.0p-53 - 0.5;
-    out[static_cast<std::size_t>(f)] = ScalarTraits<T>::from_unit(u);
+    out[static_cast<std::size_t>(f)] = indexed_entry<T>(
+        chunk.row0 + flat / chunk.cols, chunk.col0 + flat % chunk.cols);
   }
   return out;
 }
@@ -106,12 +100,8 @@ std::vector<T> fill_chunk_indexed_int(const BlockChunk& chunk) {
   std::vector<T> out(static_cast<std::size_t>(chunk.flat_size));
   for (i64 f = 0; f < chunk.flat_size; ++f) {
     const i64 flat = chunk.flat_start + f;
-    const i64 i = flat / chunk.cols;
-    const i64 j = flat % chunk.cols;
-    std::uint64_t s = static_cast<std::uint64_t>(
-        (chunk.row0 + i) * 0x1000003 + (chunk.col0 + j));
-    const double v = static_cast<double>(camb::splitmix64(s) >> 60) - 8.0;
-    out[static_cast<std::size_t>(f)] = static_cast<T>(v);
+    out[static_cast<std::size_t>(f)] = indexed_int_entry<T>(
+        chunk.row0 + flat / chunk.cols, chunk.col0 + flat % chunk.cols);
   }
   return out;
 }

@@ -6,6 +6,15 @@
 // The runner uses this for shapes too large to verify against the cubic-time
 // serial reference, so even the biggest benchmark runs stay checked.
 //
+// All trials run in one pass over memory.  Every trial's x is drawn up
+// front, trial by trial with n3 draws each (the order a trial-at-a-time
+// loop draws in); y = Bx is formed for all of them; then each row of A and
+// C yields z = (Ay)_i, sum_j |a_ij y_j| and w = (Cx)_i for a block of
+// trials together.  Rows are split over the WorkerPool
+// (machine/parallel_rows.hpp).  Every sum still runs over j in index order
+// and the maxima over rows and trials do not depend on order, so the
+// residual is bit-identical to checking one trial at a time on one thread.
+//
 // Templated over the scalar type: entries are widened to double through
 // ScalarTraits<T>::to_double and the whole residual is accumulated at double
 // precision.  For f32 data that means the *check* never loses precision the
@@ -40,19 +49,20 @@ constexpr double freivalds_default_tol() {
   }
 }
 
-/// True iff C == A*B passes `trials` Freivalds checks with random {0,1}
-/// vectors.  `tol` bounds the per-entry residual |A(Bx) - Cx| relative to
-/// the accumulated magnitude; the residual itself is computed at double
-/// precision regardless of T.
+/// The largest residual over `trials` checks with random {0,1} vectors:
+/// per trial, max_i |(A(Bx) - Cx)_i| divided by max(1, max_i sum_j
+/// |a_ij (Bx)_j|), computed at double precision regardless of T.  Throws
+/// camb::Error unless A's columns match B's rows, C is A.rows x B.cols, and
+/// trials >= 1.  Draws trials * B.cols values from `rng`.
+template <typename T>
+double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
+                          const Matrix<T>& c, int trials, Rng& rng);
+
+/// True iff C == A*B passes `trials` Freivalds checks: freivalds_residual
+/// over the same draws is at most `tol`.
 template <typename T>
 bool freivalds_check(const Matrix<T>& a, const Matrix<T>& b,
                      const Matrix<T>& c, int trials, Rng& rng,
                      double tol = freivalds_default_tol<T>());
-
-/// Convenience: the largest residual seen over `trials` checks, normalized
-/// by the magnitude scale — handy for reporting rather than pass/fail.
-template <typename T>
-double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
-                          const Matrix<T>& c, int trials, Rng& rng);
 
 }  // namespace camb::mm

@@ -11,6 +11,7 @@
 #include <type_traits>
 
 #include "collectives/shrink.hpp"
+#include "machine/parallel_rows.hpp"
 #include "matmul/freivalds.hpp"
 #include "util/error.hpp"
 
@@ -189,15 +190,20 @@ std::uint64_t hash_matrix(const Matrix<T>& m) {
   return h;
 }
 
-/// Place a flat chunk of a row-major block into the global matrix.
+/// Place a flat chunk of a row-major block into the global matrix, one
+/// contiguous row run at a time.
 template <typename T>
 void place_chunk(Matrix<T>& global, const BlockChunk& chunk,
                  const std::vector<T>& data) {
   CAMB_CHECK(static_cast<i64>(data.size()) == chunk.flat_size);
-  for (i64 f = 0; f < chunk.flat_size; ++f) {
+  const T* src = data.data();
+  for (i64 f = 0; f < chunk.flat_size;) {
     const i64 flat = chunk.flat_start + f;
-    global(chunk.row0 + flat / chunk.cols, chunk.col0 + flat % chunk.cols) =
-        data[static_cast<std::size_t>(f)];
+    const i64 col = flat % chunk.cols;
+    const i64 run = std::min(chunk.cols - col, chunk.flat_size - f);
+    std::copy(src + f, src + f + run,
+              &global(chunk.row0 + flat / chunk.cols, chunk.col0 + col));
+    f += run;
   }
 }
 
@@ -289,12 +295,14 @@ void fill_inputs(const Shape& shape, bool integer_inputs, Matrix<T>& a,
                  Matrix<T>& b) {
   a = Matrix<T>(shape.n1, shape.n2);
   b = Matrix<T>(shape.n2, shape.n3);
-  if (integer_inputs) {
-    a.fill_indexed_int(0, 0);
-    b.fill_indexed_int(0, 0);
-  } else {
-    a.fill_indexed(0, 0);
-    b.fill_indexed(0, 0);
+  for (Matrix<T>* m : {&a, &b}) {
+    parallel_rows(m->rows(), m->cols(), [&](i64 begin, i64 end) {
+      if (integer_inputs) {
+        m->fill_indexed_int_rows(0, 0, begin, end);
+      } else {
+        m->fill_indexed_rows(0, 0, begin, end);
+      }
+    });
   }
 }
 

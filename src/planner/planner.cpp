@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <thread>
 #include <unordered_map>
 
-#include "machine/worker_pool.hpp"
+#include "machine/parallel_rows.hpp"
 #include "util/error.hpp"
 
 namespace camb::planner {
@@ -129,7 +128,7 @@ PlanResult GridPlanner::plan(const PlanRequest& req) {
 std::vector<PlanResult> GridPlanner::plan_batch(
     const std::vector<PlanRequest>& reqs, int threads) {
   batch_queries_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  // Validate everything up front: worker tasks must not throw.
+  // Validate everything up front, before any query is solved.
   for (const PlanRequest& req : reqs) {
     CAMB_CHECK_MSG(req.P >= 1, "P must be >= 1");
     CAMB_CHECK_MSG(req.shape.n1 >= 1 && req.shape.n2 >= 1 && req.shape.n3 >= 1,
@@ -172,29 +171,16 @@ std::vector<PlanResult> GridPlanner::plan_batch(
                          i);
   }
 
-  const int width = std::max(
-      1, std::min(resolve_threads(threads), static_cast<int>(unique.size())));
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-  const auto solve_range = [&](int worker) {
-    // Contiguous slices keep each worker on one run of ascending P.
-    const std::size_t begin = unique.size() * worker / width;
-    const std::size_t end = unique.size() * (worker + 1) / width;
-    try {
-      for (std::size_t i = begin; i < end; ++i) {
-        unique[i].result = plan(unique[i].req);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(failure_mutex);
-      if (!failure) failure = std::current_exception();
-    }
-  };
-  if (width == 1) {
-    solve_range(0);
-  } else {
-    WorkerPool::instance().run(width, solve_range);
-  }
-  if (failure) std::rethrow_exception(failure);
+  const i64 width =
+      std::min<i64>(resolve_threads(threads), static_cast<i64>(unique.size()));
+  // Contiguous slices keep each worker on one run of ascending P.
+  parallel_slices(static_cast<i64>(unique.size()), width,
+                  [&](i64 begin, i64 end) {
+                    for (i64 i = begin; i < end; ++i) {
+                      const auto u = static_cast<std::size_t>(i);
+                      unique[u].result = plan(unique[u].req);
+                    }
+                  });
 
   std::vector<PlanResult> results(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {

@@ -18,6 +18,25 @@
 
 namespace camb {
 
+/// Entry (gi, gj) of the indexed pattern: a hash of the global index mapped
+/// to a unit draw in [-0.5, 0.5) through the scalar's traits.  The matrix
+/// fills below and the distributed chunk fills (matmul/distribution.hpp)
+/// all evaluate this one formula, so a distributed matrix holds exactly the
+/// entries of its serially built reference.
+template <typename T>
+T indexed_entry(i64 gi, i64 gj) {
+  std::uint64_t s = static_cast<std::uint64_t>(gi * 0x1000003 + gj);
+  const double u = static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53 - 0.5;
+  return ScalarTraits<T>::from_unit(u);
+}
+
+/// Entry (gi, gj) of the integer-valued pattern: a small integer in [-8, 7].
+template <typename T>
+T indexed_int_entry(i64 gi, i64 gj) {
+  std::uint64_t s = static_cast<std::uint64_t>(gi * 0x1000003 + gj);
+  return static_cast<T>(static_cast<double>(splitmix64(s) >> 60) - 8.0);
+}
+
 template <typename T>
 class Matrix {
  public:
@@ -95,14 +114,16 @@ class Matrix {
   /// Fill element (i, j) with a deterministic function of the *global* index
   /// (gr0 + i, gc0 + j).  Used to build a distributed matrix whose contents
   /// are identical to a reference matrix built serially.
-  void fill_indexed(i64 gr0, i64 gc0) {
-    for (i64 i = 0; i < rows_; ++i) {
+  void fill_indexed(i64 gr0, i64 gc0) { fill_indexed_rows(gr0, gc0, 0, rows_); }
+
+  /// fill_indexed over local rows [row_begin, row_end) only.  Disjoint row
+  /// ranges touch disjoint elements, so they may be filled concurrently.
+  void fill_indexed_rows(i64 gr0, i64 gc0, i64 row_begin, i64 row_end) {
+    CAMB_CHECK_MSG(0 <= row_begin && row_begin <= row_end && row_end <= rows_,
+                   "fill row range out of range");
+    for (i64 i = row_begin; i < row_end; ++i) {
       for (i64 j = 0; j < cols_; ++j) {
-        std::uint64_t s =
-            static_cast<std::uint64_t>((gr0 + i) * 0x1000003 + (gc0 + j));
-        const double u =
-            static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53 - 0.5;
-        (*this)(i, j) = ScalarTraits<T>::from_unit(u);
+        (*this)(i, j) = indexed_entry<T>(gr0 + i, gc0 + j);
       }
     }
   }
@@ -112,12 +133,16 @@ class Matrix {
   /// (far below 2^53), hence independent of summation order — the property
   /// the ABFT checksum reconstruction relies on for bit-identical recovery.
   void fill_indexed_int(i64 gr0, i64 gc0) {
-    for (i64 i = 0; i < rows_; ++i) {
+    fill_indexed_int_rows(gr0, gc0, 0, rows_);
+  }
+
+  /// fill_indexed_int over local rows [row_begin, row_end) only.
+  void fill_indexed_int_rows(i64 gr0, i64 gc0, i64 row_begin, i64 row_end) {
+    CAMB_CHECK_MSG(0 <= row_begin && row_begin <= row_end && row_end <= rows_,
+                   "fill row range out of range");
+    for (i64 i = row_begin; i < row_end; ++i) {
       for (i64 j = 0; j < cols_; ++j) {
-        std::uint64_t s =
-            static_cast<std::uint64_t>((gr0 + i) * 0x1000003 + (gc0 + j));
-        (*this)(i, j) =
-            static_cast<T>(static_cast<double>(splitmix64(s) >> 60) - 8.0);
+        (*this)(i, j) = indexed_int_entry<T>(gr0 + i, gc0 + j);
       }
     }
   }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace camb {
@@ -64,6 +66,22 @@ TEST(Matrix, FillIndexedIsPositionDeterministic) {
       EXPECT_DOUBLE_EQ(shifted(i, j), big(2 + i, 3 + j));
     }
   }
+}
+
+TEST(Matrix, RowRangeFillsCompose) {
+  // Filling disjoint row ranges in any order reproduces the whole-matrix
+  // fill, for both patterns and at a global offset.
+  MatrixD whole(7, 5), whole_int(7, 5), parts(7, 5), parts_int(7, 5);
+  whole.fill_indexed(4, 9);
+  whole_int.fill_indexed_int(4, 9);
+  for (const auto& [begin, end] : {std::pair<i64, i64>{5, 7}, {0, 2}, {2, 5}}) {
+    parts.fill_indexed_rows(4, 9, begin, end);
+    parts_int.fill_indexed_int_rows(4, 9, begin, end);
+  }
+  EXPECT_EQ(parts, whole);
+  EXPECT_EQ(parts_int, whole_int);
+  EXPECT_THROW(parts.fill_indexed_rows(0, 0, 3, 8), Error);
+  EXPECT_THROW(parts.fill_indexed_int_rows(0, 0, 4, 3), Error);
 }
 
 TEST(Matrix, FillIndexedValuesBounded) {

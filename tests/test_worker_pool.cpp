@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "machine/parallel_rows.hpp"
 #include "machine/worker_pool.hpp"
 
 namespace camb {
@@ -69,6 +71,68 @@ TEST(WorkerPool, ConcurrentRunsBothComplete) {
   tb.join();
   for (const auto& h : hits_a) EXPECT_EQ(h.load(), 1);
   for (const auto& h : hits_b) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelSlices, CoverTheRangeOnceInContiguousSlices) {
+  for (const i64 width : {i64{1}, i64{3}, i64{4}, i64{7}}) {
+    std::vector<std::atomic<int>> hits(61);
+    std::atomic<int> calls{0};
+    parallel_slices(61, width, [&](i64 begin, i64 end) {
+      calls.fetch_add(1);
+      for (i64 i = begin; i < end; ++i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      }
+    });
+    EXPECT_EQ(calls.load(), width);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "width " << width;
+  }
+}
+
+TEST(ParallelSlices, RethrowsASliceExceptionAfterEverySliceReturns) {
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_slices(8, 4,
+                               [&](i64 begin, i64) {
+                                 if (begin == 2) {
+                                   throw std::runtime_error("slice failed");
+                                 }
+                                 finished.fetch_add(1);
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  // The pool is intact afterwards.
+  std::atomic<int> ran{0};
+  WorkerPool::instance().run(4, [&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ParallelRows, RunsSmallLoopsInlineAndLargeOnesOnThePool) {
+  std::atomic<int> calls{0};
+  parallel_rows(kParallelRowsFloor * 2, 8, [&](i64 begin, i64 end) {
+    calls.fetch_add(1);
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, kParallelRowsFloor * 2);
+    EXPECT_FALSE(WorkerPool::on_pool_worker());
+  });
+  EXPECT_EQ(calls.load(), 1);
+
+  // Above the floor a throwing slice reaches the caller, as it would inline.
+  const i64 rows = kParallelRowsFloor * 4;
+  EXPECT_THROW(parallel_rows(rows, kParallelElementsFloor, [&](i64, i64 end) {
+                 if (end == rows) throw std::runtime_error("last slice");
+               }),
+               std::runtime_error);
+}
+
+TEST(ParallelRows, StaysInlineOnAPoolWorker) {
+  std::atomic<int> calls{0};
+  WorkerPool::instance().run(2, [&](int) {
+    parallel_rows(kParallelRowsFloor * 8, kParallelElementsFloor,
+                  [&](i64 begin, i64 end) {
+                    calls.fetch_add(1);
+                    EXPECT_EQ(end - begin, kParallelRowsFloor * 8);
+                  });
+  });
+  EXPECT_EQ(calls.load(), 2);
 }
 
 }  // namespace
