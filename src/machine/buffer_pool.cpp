@@ -21,34 +21,6 @@ Buffer::Buffer(std::vector<double> v)
       pool_(BufferPool::current()),
       elems_(static_cast<i64>(storage_.size())) {}
 
-Buffer::Buffer(Buffer&& other) noexcept
-    : storage_(std::move(other.storage_)),
-      pool_(other.pool_),
-      elems_(other.elems_),
-      elem_bytes_(other.elem_bytes_) {
-  other.storage_.clear();
-  other.pool_ = nullptr;
-  other.elems_ = 0;
-  other.elem_bytes_ = 8;
-}
-
-Buffer& Buffer::operator=(Buffer&& other) noexcept {
-  if (this != &other) {
-    release();
-    storage_ = std::move(other.storage_);
-    pool_ = other.pool_;
-    elems_ = other.elems_;
-    elem_bytes_ = other.elem_bytes_;
-    other.storage_.clear();
-    other.pool_ = nullptr;
-    other.elems_ = 0;
-    other.elem_bytes_ = 8;
-  }
-  return *this;
-}
-
-Buffer::~Buffer() { release(); }
-
 void Buffer::release() {
   // Small storages are cheaper to free than to hand back across threads.
   if (pool_ != nullptr &&

@@ -71,11 +71,33 @@ class Buffer {
   Buffer(std::initializer_list<double> init)
       : Buffer(std::vector<double>(init)) {}
 
-  Buffer(Buffer&& other) noexcept;
-  Buffer& operator=(Buffer&& other) noexcept;
+  // Inline: a message's payload is moved several times between the send
+  // call and the receiver, so these sit on the per-message path.
+  Buffer(Buffer&& other) noexcept
+      : storage_(std::move(other.storage_)),
+        pool_(other.pool_),
+        elems_(other.elems_),
+        elem_bytes_(other.elem_bytes_) {
+    other.detach();
+  }
+  Buffer& operator=(Buffer&& other) noexcept {
+    if (this != &other) {
+      if (pool_ != nullptr) release();
+      storage_ = std::move(other.storage_);
+      pool_ = other.pool_;
+      elems_ = other.elems_;
+      elem_bytes_ = other.elem_bytes_;
+      other.detach();
+    }
+    return *this;
+  }
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
-  ~Buffer();
+  // Only pooled storage has somewhere to go back to; anything else (and
+  // the many moved-from Buffers on the message path) just dies here.
+  ~Buffer() {
+    if (pool_ != nullptr) release();
+  }
 
   /// A zero-filled n-word buffer from the current thread's pool (heap when
   /// no pool is installed).  Contents identical to std::vector<double>(n).
@@ -203,6 +225,13 @@ class Buffer {
  private:
   friend class BufferPool;
   void release();
+  /// The moved-from state: empty, unpooled, 8-byte width tag.
+  void detach() noexcept {
+    storage_.clear();
+    pool_ = nullptr;
+    elems_ = 0;
+    elem_bytes_ = 8;
+  }
 
   /// memcpy through void*: a typed kahan* destination trips
   /// -Wclass-memaccess (kahan has constructors), and an empty payload's

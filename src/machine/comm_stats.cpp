@@ -1,93 +1,163 @@
 #include "machine/comm_stats.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace camb {
 
-CommStats::CommStats(int nprocs) : nprocs_(nprocs), slots_(nprocs) {
+CommStats::CommStats(int nprocs) : nprocs_(nprocs) {
   CAMB_CHECK_MSG(nprocs >= 1, "machine needs at least one processor");
+  slots_.resize(static_cast<std::size_t>(nprocs));
+  // Id 0: the phase every rank starts in.  Interned, not listed — phases()
+  // shows "default" only once some rank sets it by name.
+  std::lock_guard<std::mutex> lock(phase_mutex_);
+  intern_locked("default", /*list=*/false);
 }
 
-void CommStats::set_phase(int rank, std::string phase) {
+CommStats::~CommStats() = default;
+
+CommStats::PhaseName& CommStats::entry(PhaseId id) const {
+  // Chunk c starts at id kFirstChunk * (2^c - 1) and holds kFirstChunk << c.
+  const int c = std::bit_width(id / kFirstChunk + 1) - 1;
+  const PhaseId offset = id - kFirstChunk * ((PhaseId{1} << c) - 1);
+  return chunks_[c][offset];
+}
+
+PhaseId CommStats::find_phase(std::string_view name) const {
+  // Entries below the published size are immutable except for `listed`, and
+  // the acquire pairs with intern_locked's release, so no lock is needed.
+  const PhaseId n = names_.load(std::memory_order_acquire);
+  for (PhaseId id = 0; id < n; ++id) {
+    if (entry(id).name == name) return id;
+  }
+  return kNoPhase;
+}
+
+PhaseId CommStats::intern_locked(std::string_view name, bool list) {
+  PhaseId id = find_phase(name);
+  if (id == kNoPhase) {
+    id = names_.load(std::memory_order_relaxed);
+    const int c = std::bit_width(id / kFirstChunk + 1) - 1;
+    CAMB_CHECK_MSG(c < kMaxChunks, "too many distinct phase names");
+    if (!chunks_[c]) {
+      chunks_[c] = std::make_unique<PhaseName[]>(kFirstChunk << c);
+    }
+    entry(id).name.assign(name);
+    names_.store(id + 1, std::memory_order_release);
+  }
+  PhaseName& e = entry(id);
+  if (list && !e.listed.load(std::memory_order_relaxed)) {
+    phase_order_.push_back(id);
+    e.listed.store(true, std::memory_order_release);
+  }
+  return id;
+}
+
+PhaseId CommStats::intern(std::string_view name) {
+  const PhaseId id = find_phase(name);
+  if (id != kNoPhase) return id;
+  std::lock_guard<std::mutex> lock(phase_mutex_);
+  return intern_locked(name, /*list=*/false);
+}
+
+const std::string& CommStats::phase_name(PhaseId id) const {
+  CAMB_CHECK(id < names_.load(std::memory_order_acquire));
+  return entry(id).name;
+}
+
+void CommStats::set_phase(int rank, std::string_view phase) {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  note_phase_name(phase);
-  slots_[rank].active_phase = std::move(phase);
+  PhaseId id = find_phase(phase);
+  if (id == kNoPhase || !entry(id).listed.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(phase_mutex_);
+    id = intern_locked(phase, /*list=*/true);
+  }
+  slots_[rank].active = id;
+}
+
+void CommStats::set_phase_id(int rank, PhaseId id) {
+  PhaseName& e = entry(id);
+  if (!e.listed.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(phase_mutex_);
+    intern_locked(e.name, /*list=*/true);
+  }
+  slots_[rank].active = id;
 }
 
 const std::string& CommStats::phase(int rank) const {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  return slots_[rank].active_phase;
+  return entry(slots_[rank].active).name;
 }
 
-void CommStats::record_send(int src, i64 bytes) {
-  CAMB_CHECK(src >= 0 && src < nprocs_);
-  auto& counters = slots_[src].by_phase[slots_[src].active_phase];
-  counters.bytes_sent += bytes;
-  counters.messages_sent += 1;
+void CommStats::grow(RankSlot& slot) {
+  // One allocation covers the handful of phases a typical rank body uses.
+  slot.by_phase.resize(std::max<std::size_t>(slot.active + 1, 8));
 }
 
-void CommStats::record_receive(int dst, i64 bytes) {
-  CAMB_CHECK(dst >= 0 && dst < nprocs_);
-  auto& counters = slots_[dst].by_phase[slots_[dst].active_phase];
-  counters.bytes_received += bytes;
-  counters.messages_received += 1;
-}
-
-PhaseCounters CommStats::rank_total(int rank) const {
+const PhaseCounters& CommStats::rank_total(int rank) const {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  PhaseCounters total;
-  for (const auto& [name, counters] : slots_[rank].by_phase) total += counters;
-  return total;
+  return slots_[rank].total;
 }
 
-PhaseCounters CommStats::rank_phase(int rank, const std::string& phase) const {
+PhaseCounters CommStats::rank_phase(int rank, std::string_view phase) const {
+  return rank_phase(rank, find_phase(phase));
+}
+
+PhaseCounters CommStats::rank_phase(int rank, PhaseId id) const {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  auto it = slots_[rank].by_phase.find(phase);
-  return it == slots_[rank].by_phase.end() ? PhaseCounters{} : it->second;
+  const auto& by_phase = slots_[rank].by_phase;
+  return id < by_phase.size() ? by_phase[id] : PhaseCounters{};
 }
 
 double CommStats::critical_path_received_words() const {
   i64 worst = 0;
-  for (int r = 0; r < nprocs_; ++r) {
-    worst = std::max(worst, rank_total(r).bytes_received);
+  for (const RankSlot& slot : slots_) {
+    worst = std::max(worst, slot.total.bytes_received);
   }
   return static_cast<double>(worst) / 8.0;
 }
 
 double CommStats::critical_path_sent_words() const {
   i64 worst = 0;
-  for (int r = 0; r < nprocs_; ++r) {
-    worst = std::max(worst, rank_total(r).bytes_sent);
+  for (const RankSlot& slot : slots_) {
+    worst = std::max(worst, slot.total.bytes_sent);
   }
   return static_cast<double>(worst) / 8.0;
 }
 
 double CommStats::critical_path_cost(const AlphaBeta& machine) const {
   double worst = 0.0;
-  for (int r = 0; r < nprocs_; ++r) {
-    worst = std::max(worst, machine.cost(rank_total(r)));
+  for (const RankSlot& slot : slots_) {
+    worst = std::max(worst, machine.cost(slot.total));
   }
   return worst;
 }
 
 double CommStats::total_words_sent() const {
   i64 total = 0;
-  for (int r = 0; r < nprocs_; ++r) total += rank_total(r).bytes_sent;
+  for (const RankSlot& slot : slots_) total += slot.total.bytes_sent;
   return static_cast<double>(total) / 8.0;
 }
 
 double CommStats::phase_critical_path_received_words(
-    const std::string& phase) const {
+    std::string_view phase) const {
+  const PhaseId id = find_phase(phase);
   i64 worst = 0;
-  for (int r = 0; r < nprocs_; ++r) {
-    worst = std::max(worst, rank_phase(r, phase).bytes_received);
+  for (const RankSlot& slot : slots_) {
+    if (id < slot.by_phase.size()) {
+      worst = std::max(worst, slot.by_phase[id].bytes_received);
+    }
   }
   return static_cast<double>(worst) / 8.0;
 }
 
 std::vector<std::string> CommStats::phases() const {
   std::lock_guard<std::mutex> lock(phase_mutex_);
-  return phase_order_;
+  std::vector<std::string> out;
+  out.reserve(phase_order_.size());
+  for (PhaseId id : phase_order_) out.push_back(entry(id).name);
+  return out;
 }
 
 TransportCounters& CommStats::transport_mut(int rank) {
@@ -102,23 +172,16 @@ const TransportCounters& CommStats::transport(int rank) const {
 
 TransportCounters CommStats::transport_total() const {
   TransportCounters total;
-  for (int r = 0; r < nprocs_; ++r) total += slots_[r].transport;
+  for (const RankSlot& slot : slots_) total += slot.transport;
   return total;
 }
 
 void CommStats::reset() {
   for (auto& slot : slots_) {
-    slot.by_phase.clear();
+    std::fill(slot.by_phase.begin(), slot.by_phase.end(), PhaseCounters{});
+    slot.total = PhaseCounters{};
     slot.transport = TransportCounters{};
   }
-}
-
-void CommStats::note_phase_name(const std::string& phase) {
-  std::lock_guard<std::mutex> lock(phase_mutex_);
-  for (const auto& existing : phase_order_) {
-    if (existing == phase) return;
-  }
-  phase_order_.push_back(phase);
 }
 
 }  // namespace camb

@@ -17,10 +17,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/math.hpp"
@@ -102,30 +104,79 @@ struct TransportCounters {
   }
 };
 
+/// Interned phase label: an index into one CommStats's phase-name table.
+/// Messages and per-rank counters carry these small ids; names are looked up
+/// only when a report, a trace or a leak report is built.  Id 0 is
+/// "default", the phase every rank starts in.
+using PhaseId = std::uint32_t;
+/// The id lookups return for a name that was never interned.
+inline constexpr PhaseId kNoPhase = ~PhaseId{0};
+
 /// Per-rank, per-phase communication statistics for one machine run.
+///
+/// Phase names are interned into a per-instance, append-only table whose
+/// entries never move: a name already seen is found by a lock-free scan, so
+/// set_phase takes no machine-wide lock and allocates nothing after a name's
+/// first sight (the first sight appends under `phase_mutex_`).  Each rank
+/// keeps a flat counter array indexed by id plus a running total, so
+/// recording a message is two array updates with no lookup at all.
 class CommStats {
  public:
   explicit CommStats(int nprocs);
+  ~CommStats();
+  CommStats(const CommStats&) = delete;
+  CommStats& operator=(const CommStats&) = delete;
 
   int nprocs() const { return nprocs_; }
 
   /// Set the active phase label for a rank (e.g. "allgather_A").  Subsequent
-  /// traffic by that rank is attributed to this phase.  Called by the rank's
-  /// own thread only.
-  void set_phase(int rank, std::string phase);
+  /// traffic by that rank is attributed to this phase, and the name joins
+  /// phases().  Called by the rank's own thread only.
+  void set_phase(int rank, std::string_view phase);
   const std::string& phase(int rank) const;
+
+  /// The interned id of `name`, interning it if new.  Interning alone does
+  /// not list the name in phases(); only set_phase / set_phase_id do.
+  PhaseId intern(std::string_view name);
+  /// The id of `name` without interning it (kNoPhase if never seen).
+  /// Lock-free.
+  PhaseId find_phase(std::string_view name) const;
+  /// The name an id stands for (ids come from intern / phase_id only).
+  const std::string& phase_name(PhaseId id) const;
+  /// The id of `rank`'s active phase — what a message sent now carries.
+  PhaseId phase_id(int rank) const { return slots_[rank].active; }
+  /// set_phase by id: the hot-path form of a save/set/restore around a
+  /// dedicated phase (transport, heartbeat).
+  void set_phase_id(int rank, PhaseId id);
 
   /// Record a message. Called from the sender's thread; the receive half is
   /// attributed to the receiver's currently active phase at receive time via
   /// record_receive (mailbox bookkeeping keeps both ends exact).
-  void record_send(int src, i64 bytes);
-  void record_receive(int dst, i64 bytes);
+  void record_send(int src, i64 bytes) {
+    PhaseCounters& c = counters(src);
+    c.bytes_sent += bytes;
+    c.messages_sent += 1;
+    RankSlot& slot = slots_[src];
+    slot.total.bytes_sent += bytes;
+    slot.total.messages_sent += 1;
+  }
+  void record_receive(int dst, i64 bytes) {
+    PhaseCounters& c = counters(dst);
+    c.bytes_received += bytes;
+    c.messages_received += 1;
+    RankSlot& slot = slots_[dst];
+    slot.total.bytes_received += bytes;
+    slot.total.messages_received += 1;
+  }
 
   /// Totals across all phases for one rank.
-  PhaseCounters rank_total(int rank) const;
+  const PhaseCounters& rank_total(int rank) const;
 
   /// Counters for one rank in one phase (zero if the phase never ran).
-  PhaseCounters rank_phase(int rank, const std::string& phase) const;
+  PhaseCounters rank_phase(int rank, std::string_view phase) const;
+  /// The same by id — for report loops over every rank, which look the
+  /// name up once (kNoPhase reads as zero).
+  PhaseCounters rank_phase(int rank, PhaseId id) const;
 
   /// Max over ranks of received words — the bandwidth-cost word count used to
   /// compare against the lower bounds.  Exact (integer or half-integer) for
@@ -142,9 +193,12 @@ class CommStats {
   double total_words_sent() const;
 
   /// Max over ranks of received words within a single named phase.
-  double phase_critical_path_received_words(const std::string& phase) const;
+  double phase_critical_path_received_words(std::string_view phase) const;
 
-  /// All phase names that recorded any traffic, in first-use order.
+  /// Every name ever passed to set_phase on any rank, in first-use order —
+  /// including phases that recorded no traffic (e.g. "local_gemm"), which
+  /// is why RunReport::phase_recv lists them with zero words.  "default"
+  /// appears only if some rank set it explicitly.
   std::vector<std::string> phases() const;
 
   /// Reliable-transport counters for one rank.  The mutable accessor follows
@@ -160,16 +214,41 @@ class CommStats {
 
  private:
   struct alignas(64) RankSlot {
-    std::string active_phase = "default";
-    std::map<std::string, PhaseCounters> by_phase;
+    PhaseId active = 0;
+    std::vector<PhaseCounters> by_phase;  ///< indexed by PhaseId, grown lazily
+    PhaseCounters total;
     TransportCounters transport;
   };
+
+  /// One interned name.  `listed` flips once, under phase_mutex_, when the
+  /// name is first passed to set_phase; readers check it without the lock.
+  struct PhaseName {
+    std::string name;
+    std::atomic<bool> listed{false};
+  };
+
+  /// The table grows in chunks that never move: chunk c holds
+  /// kFirstChunk << c names, so 28 chunks cover any id a program can make.
+  static constexpr std::uint32_t kFirstChunk = 8;
+  static constexpr int kMaxChunks = 28;
+
+  PhaseCounters& counters(int rank) {
+    RankSlot& slot = slots_[rank];
+    if (slot.active >= slot.by_phase.size()) grow(slot);
+    return slot.by_phase[slot.active];
+  }
+  static void grow(RankSlot& slot);
+
+  PhaseName& entry(PhaseId id) const;
+  /// First sight of a name (or first listing): appends under phase_mutex_.
+  PhaseId intern_locked(std::string_view name, bool list);
+
   int nprocs_;
   std::vector<RankSlot> slots_;
-  std::vector<std::string> phase_order_;  // guarded by phase_mutex_
+  std::unique_ptr<PhaseName[]> chunks_[kMaxChunks];
+  std::atomic<PhaseId> names_{0};  ///< published table size
+  std::vector<PhaseId> phase_order_;  // guarded by phase_mutex_
   mutable std::mutex phase_mutex_;
-
-  void note_phase_name(const std::string& phase);
 };
 
 }  // namespace camb

@@ -410,20 +410,31 @@ void FiberWaitList::notify_all() {
   // negative here is impossible for a fiber that observed the pre-notify
   // state.
   if (!maybe_waiters_.load(std::memory_order_acquire)) return;
+  // A mailbox has at most its owner parked on it, so the lone waiter is
+  // taken without handing the list's storage away (a swap would make the
+  // next add() allocate again).
+  Fiber* lone = nullptr;
   std::vector<Fiber*> taken;
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    taken.swap(waiters_);
+    if (waiters_.size() == 1) {
+      lone = waiters_.front();
+      waiters_.clear();
+    } else {
+      taken.swap(waiters_);
+    }
     maybe_waiters_.store(false, std::memory_order_relaxed);
   }
-  for (Fiber* fiber : taken) {
+  const auto wake = [](Fiber* fiber) {
     const int prev = fiber->wake_.exchange(Fiber::kWakeNotified,
                                            std::memory_order_acq_rel);
     // kWakeParking: the scheduler's exchange is still in flight and will
     // observe kWakeNotified — it requeues.  kWakeParked: it already ran —
     // we requeue.
     if (prev == Fiber::kWakeParked) fiber->sched_.enqueue(fiber);
-  }
+  };
+  if (lone != nullptr) wake(lone);
+  for (Fiber* fiber : taken) wake(fiber);
 }
 
 // ---------------------------------------------------------------------------

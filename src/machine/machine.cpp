@@ -108,7 +108,7 @@ void RankCtx::release_bytes(i64 bytes) {
   current_bytes_ -= bytes;
 }
 
-void RankCtx::set_phase(const std::string& phase) {
+void RankCtx::set_phase(std::string_view phase) {
   machine_.stats().set_phase(rank_, phase);
 }
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "machine/barrier.hpp"
@@ -111,7 +112,7 @@ class RankCtx {
   void barrier();
 
   /// Label subsequent traffic of this rank for per-phase accounting.
-  void set_phase(const std::string& phase);
+  void set_phase(std::string_view phase);
 
   /// This rank's logical clock (seconds under the machine's α-β params).
   double clock() const { return clock_; }

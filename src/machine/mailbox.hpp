@@ -5,21 +5,29 @@
 // This mirrors the eager-protocol semantics message-passing programs rely on
 // for small and medium messages, and keeps collective implementations simple.
 //
-// Storage layout (the hot-path redesign): messages live in *per-source
-// envelope buckets*, so pop_matching(src, tag) scans only the messages
-// `src` currently has in flight — O(match) — instead of the whole queue.
-// Buckets are keyed sparsely (a hash map over the sources this rank has
-// actually met, each bucket a small FIFO vector): a rank talks to O(grid
-// dimension) peers, so dense per-source storage would cost O(P) per mailbox
-// — O(P^2) per machine — and P = 65,536 mailboxes must stay cheap.
-// A separate *any-queue index* (`order_`) records global arrival order
-// (including the fault layer's legal reorderings) as lightweight
-// (src, tag, seq) entries, giving pop_any and drain exactly the order the
-// old single-deque implementation exposed without ever moving a payload to
-// reorder.  Entries whose message was matched out of a bucket are skipped
-// lazily via a stale-sequence set; because matching is FIFO per envelope,
-// the earliest live entry of an envelope always corresponds to the earliest
-// queued message of that envelope.
+// Storage layout (the flat message path): every queued message lives in
+// one contiguous node array, recycled through a free list, and is threaded
+// onto the FIFO list of its *source slot*.  pop_matching(src, tag) walks only
+// the messages `src` currently has in flight — O(match) — instead of the
+// whole queue.  Slots are sparse: one per source that actually pushed since
+// the last drain, held in a flat vector and searched linearly (a rank meets
+// about a dozen peers per grid3d run); once a mailbox has heard from more
+// than kLinearSlots sources (a gather root, alltoall, shrink flooding) a
+// hash index over the slots takes over.  Dense per-source storage would cost
+// O(P) per mailbox — O(P^2) per machine — and P = 65,536 mailboxes must stay
+// cheap.  No push or matched pop touches a hash table or allocates once the
+// node array and slot vector have grown to the mailbox's working size.
+//
+// Arrival order (what pop_any and drain expose) is ascending arrival
+// sequence number — implicit, no index kept — until the fault layer's legal
+// reordering actually moves a message.  Only then is an explicit any-queue
+// index (`order_`, lightweight (node, seq) entries) built from the
+// live messages; it is maintained while the reordering is observable and
+// dropped again once the mailbox empties.  Entries whose message was matched
+// out are skipped lazily: a node whose sequence no longer matches its entry
+// has been popped (and possibly recycled).  Because matching is FIFO per
+// envelope, the earliest live entry of an envelope always corresponds to
+// the earliest queued message of that envelope.
 //
 // Failure awareness (crash-fault support): a source rank may be marked *dead*
 // (it crashed — no further message from it will ever arrive) or *deviated*
@@ -35,14 +43,13 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "machine/buffer_pool.hpp"
+#include "machine/comm_stats.hpp"
 #include "machine/fiber.hpp"
 #include "util/math.hpp"
 
@@ -50,15 +57,17 @@ namespace camb {
 
 /// A message in flight: the payload plus its envelope, the logical time at
 /// which it left the sender (see machine.hpp's clock model), and the sender's
-/// phase label at send time (for leak-report forensics).  Payloads are
-/// pooled move-only Buffers: a message is moved into the mailbox and moved
-/// out to the receiver; its words are never copied in between.
+/// interned phase id at send time (for leak-report forensics; the name is
+/// resolved through the machine's CommStats only when a report is built).
+/// Payloads are pooled move-only Buffers: a message is moved into the
+/// mailbox and moved out to the receiver; its words are never copied in
+/// between.
 struct Message {
   int src = -1;
   int tag = 0;
   double depart_time = 0.0;
   Buffer payload;
-  std::string phase;
+  PhaseId phase = 0;
   std::uint64_t seq = 0;  ///< arrival sequence, assigned by the mailbox
   // Reliable-transport envelope fields (machine/reliable.hpp).  The checksum
   // is metadata, not payload — it adds no words to any count.  A copy marked
@@ -103,7 +112,7 @@ class Mailbox {
   /// the legal reorderings of the fault-injection layer.  Messages with the
   /// same envelope are never passed, so per-envelope FIFO order (the only
   /// order tag-matched receives can observe) is preserved.  Reordering
-  /// swaps index entries, never payloads.
+  /// moves index entries, never payloads.
   void push(Message msg, int reorder_skip = 0);
 
   /// Block until a message with envelope (src, tag) is available and return
@@ -133,9 +142,10 @@ class Mailbox {
   /// Number of queued messages (for tests / leak detection).
   std::size_t pending() const;
 
-  /// Number of per-source buckets materialized (for tests: the sparse
-  /// footprint contract — only sources that actually pushed have buckets;
-  /// receives polling a silent source must not create one).
+  /// Number of per-source slots materialized (for tests: the sparse
+  /// footprint contract — only sources that actually pushed since the last
+  /// drain have slots; receives polling a silent source must not create
+  /// one).
   std::size_t bucket_count() const;
 
   /// Remove and return every queued message (oldest first), for tests.
@@ -145,60 +155,96 @@ class Mailbox {
   /// message (oldest first) to `out` and clear the mailbox.  This is the
   /// call Network::undelivered makes so the post-run leak report takes one
   /// lock per mailbox instead of a pending()+drain() pair per call site.
-  void drain_undelivered(int dst, std::vector<UndeliveredMessage>& out);
+  /// Phase ids are resolved to names through `names` (left empty without).
+  void drain_undelivered(int dst, std::vector<UndeliveredMessage>& out,
+                         const CommStats* names = nullptr);
+
+  /// Sources above which slot lookup switches from a linear scan to a hash
+  /// index.
+  static constexpr std::size_t kLinearSlots = 16;
 
  private:
-  /// One any-queue index entry: the envelope plus the arrival sequence of
-  /// the message it stands for.
-  struct Entry {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One queued message, linked into its source slot's FIFO.  A free node
+  /// has seq 0 and links the free list instead.
+  struct Node {
+    Message msg;
+    std::uint32_t next = kNil;
+  };
+
+  /// The FIFO of messages from one source (head = oldest).
+  struct Slot {
     int src = -1;
-    int tag = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// One any-queue index entry: the node holding the message and its
+  /// arrival sequence (a mismatch means the entry is stale; a live entry's
+  /// envelope is its node's).
+  struct Entry {
+    std::uint32_t node = kNil;
     std::uint64_t seq = 0;
   };
 
-  /// The bucket for `src`, created on demand — called by push() only, so
-  /// buckets exist exactly for the sources that have actually sent here
-  /// (mailboxes are constructed without knowing the machine size, and most
-  /// sources never write here).  A bucket is a FIFO: push_back on arrival,
-  /// erase(begin()+i) on match — buckets are shallow (a handful of
-  /// in-flight messages), so the shift is cheaper than a deque's chunked
-  /// storage.
-  std::vector<Message>& bucket(int src);
+  /// The slot for `src`, or nullptr if that source has never pushed here
+  /// since the last drain.  All pop paths use this so a blocked receive does
+  /// not create a slot.
+  Slot* find_slot(int src);
 
-  /// The bucket for `src`, or nullptr if that source has never pushed here.
-  /// All pop paths use this so a blocked receive does not grow the map.
-  std::vector<Message>* find_bucket(int src);
+  /// The slot for `src`, created on demand — called by push() only, so
+  /// slots exist exactly for the sources that have actually sent here.
+  Slot& slot_for_push(int src);
+
+  /// The first node of `slot` carrying `tag` (kNil if none); `*prev`
+  /// receives its predecessor in the slot list.
+  std::uint32_t find_tag(const Slot& slot, int tag, std::uint32_t* prev) const;
+
+  /// Unlink node `i` (predecessor `prev`) from `slot`, free it, and return
+  /// its message.  Drops the any-queue index once the mailbox is empty.
+  Message take(Slot& slot, std::uint32_t i, std::uint32_t prev);
+
+  /// Unlink the node an index entry or a slot head stands for, wherever it
+  /// sits in its slot.
+  Message take_node(std::uint32_t i);
 
   /// Block until this mailbox is notified again: parks when called on a
   /// fiber, waits on the condition variable otherwise.  Callers loop.
   void wait_for_mail(std::unique_lock<std::mutex>& lock);
 
-  /// Drop index-front entries whose messages were already matched out.
-  void trim_order_front();
+  /// Apply a legal reordering to the just-pushed node `i`, building the
+  /// any-queue index first if the move is observable.
+  void reorder(std::uint32_t i, int reorder_skip);
 
-  /// Rebuild the index without stale entries once they outnumber the live
-  /// ones (stale entries buried behind long-lived live entries are
-  /// unreachable by trim_order_front).  Amortized O(1) per matching pop;
-  /// bounds the index at ~2x the pending-message count.
-  void compact_if_sparse();
+  /// Materialize the any-queue index from the live messages in arrival
+  /// order.
+  void build_index();
 
-  /// Remove and return the oldest queued message with envelope (src, tag).
-  /// Precondition: one exists.  `indexed` says whether its index entry is
-  /// still in order_ (true for matching pops, which then mark the entry's
-  /// seq stale; false for pop_any, which removed the entry itself).
-  Message take_oldest(int src, int tag, bool indexed);
+  bool live(const Entry& e) const { return nodes_[e.node].msg.seq == e.seq; }
 
-  /// Extract the message at `it` from its bucket and retire its index entry
-  /// (directly if it is the index front, else via the stale set).
-  Message take_at(std::vector<Message>& q, std::vector<Message>::iterator it,
-                  bool indexed);
+  /// Drop index-front entries whose messages were already matched out, and
+  /// rebuild the index without stale entries once they outnumber the live
+  /// ones (amortized O(1) per pop; bounds the index at ~2x pending).
+  void trim_index();
+
+  /// Every queued node in arrival order (index order when one is kept).
+  std::vector<std::uint32_t> arrival_order() const;
+
+  /// Forget every message, slot and index entry (keeps capacity).
+  void clear_all();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   FiberWaitList waiters_;
-  std::unordered_map<int, std::vector<Message>> buckets_;  ///< by source
-  std::deque<Entry> order_;                       ///< any-queue index
-  std::unordered_set<std::uint64_t> stale_;       ///< matched-out entry seqs
+  std::vector<Node> nodes_;        ///< message storage, recycled
+  std::uint32_t free_ = kNil;      ///< free-node list head
+  std::vector<Slot> slots_;        ///< one per source that pushed
+  std::unordered_map<int, std::uint32_t> slot_index_;  ///< src -> slot, only
+                                                       ///< past kLinearSlots
+  std::vector<Entry> order_;       ///< any-queue index, only when indexed_
+  std::size_t order_head_ = 0;     ///< first unconsumed order_ entry
+  bool indexed_ = false;
   std::uint64_t next_seq_ = 1;
   std::size_t size_ = 0;
   std::vector<int> dead_;

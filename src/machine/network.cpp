@@ -5,41 +5,22 @@
 
 namespace camb {
 
-Network::Network(int nprocs) : nprocs_(nprocs), stats_(nprocs) {
+Network::Network(int nprocs)
+    : nprocs_(nprocs),
+      stats_(nprocs),
+      transport_phase_(stats_.intern(kPhaseTransport)),
+      heartbeat_phase_(stats_.intern("heartbeat")) {
   CAMB_CHECK_MSG(nprocs >= 1, "network needs at least one processor");
   pools_.reserve(nprocs);
-  mailboxes_.reserve(nprocs);
   for (int r = 0; r < nprocs; ++r) {
     pools_.push_back(std::make_unique<BufferPool>());
-    mailboxes_.push_back(std::make_unique<Mailbox>());
   }
+  mailboxes_ = std::make_unique<Mailbox[]>(static_cast<std::size_t>(nprocs));
 }
 
 BufferPool& Network::pool(int rank) {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
   return *pools_[static_cast<std::size_t>(rank)];
-}
-
-void Network::send(int src, int dst, int tag, Buffer payload,
-                   double depart_time) {
-  CAMB_CHECK(src >= 0 && src < nprocs_ && dst >= 0 && dst < nprocs_);
-  const bool counted = (src != dst);
-  if (counted) {
-    stats_.record_send(src, payload.byte_size());
-    if (trace_ != nullptr) {
-      trace_->record(src, dst, tag, payload.byte_size(), stats_.phase(src));
-    }
-  }
-  // Counted or not, delivery is a move of the payload's storage into the
-  // destination mailbox; a self-send in particular costs zero copies.
-  Message msg{src, tag, depart_time, std::move(payload), stats_.phase(src)};
-  if (counted && reliable_ != nullptr) {
-    // The plain (unclocked) path injects no SDC events, but its envelopes
-    // still need valid checksums or the transport-aware receive would nack
-    // them forever.
-    msg.checksum = reliable_->checksum(msg.payload);
-  }
-  mailboxes_[dst]->push(std::move(msg));
 }
 
 double Network::send_timed(int src, int dst, int tag, Buffer payload,
@@ -49,8 +30,8 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
     // Self-sends are free and fault-exempt: the data never leaves local
     // memory, so there is nothing for the network to perturb — and nothing
     // for a crash to interrupt.  The payload is delivered by move.
-    mailboxes_[dst]->push(Message{src, tag, clock, std::move(payload),
-                                  stats_.phase(src)});
+    mailboxes_[dst].push(
+        Message{src, tag, clock, std::move(payload), stats_.phase_id(src)});
     return clock;
   }
   // The crash plan rules first: a rank that dies at this send performs no
@@ -86,10 +67,10 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
                   FaultPlan::retry_alpha_units(faults.failed_attempts +
                                                failed_copies) +
               params.beta * (words * failed_copies));
-    const std::string active = stats_.phase(src);
-    stats_.set_phase(src, kPhaseTransport);
+    const PhaseId active = stats_.phase_id(src);
+    stats_.set_phase_id(src, transport_phase_);
     for (int k = 0; k < failed_copies; ++k) stats_.record_send(src, bytes);
-    stats_.set_phase(src, active);
+    stats_.set_phase_id(src, active);
     auto& tc = stats_.transport_mut(src);
     tc.retransmits += failed_copies;
     tc.retransmitted_bytes += bytes * failed_copies;
@@ -122,10 +103,10 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
     // Sender-side transport tax: one counted send per extra on-wire copy
     // (dropped, corrupted, or duplicated), in the dedicated phase so the
     // algorithm phases stay word-exact to the fault-free run.
-    const std::string active = stats_.phase(src);
-    stats_.set_phase(src, kPhaseTransport);
+    const PhaseId active = stats_.phase_id(src);
+    stats_.set_phase_id(src, transport_phase_);
     for (int k = 0; k < extra_copies; ++k) stats_.record_send(src, bytes);
-    stats_.set_phase(src, active);
+    stats_.set_phase_id(src, active);
     auto& tc = stats_.transport_mut(src);
     tc.retransmits += failed_copies;
     tc.retransmitted_bytes += bytes * failed_copies;
@@ -137,7 +118,7 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
   }
 
   const double stamp = clock + faults.delay;
-  const std::string& phase = stats_.phase(src);
+  const PhaseId phase = stats_.phase_id(src);
   if (sdc_active) {
     // Corrupt copies are deposited *before* the clean one: per-envelope
     // FIFO order guarantees the receiver sees (and nacks) them first, which
@@ -152,7 +133,7 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
       corrupt.payload = reliable_->forge_corrupt_copy(
           payload, faults.flip_entropy, k, &corrupt.checksum);
       corrupt.phase = phase;
-      mailboxes_[dst]->push(std::move(corrupt), faults.reorder_skip);
+      mailboxes_[dst].push(std::move(corrupt), faults.reorder_skip);
     }
     Buffer dup_payload = duplicated ? payload.clone() : Buffer();
     Message clean;
@@ -162,7 +143,7 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
     clean.payload = std::move(payload);
     clean.phase = phase;
     clean.checksum = clean_checksum;
-    mailboxes_[dst]->push(std::move(clean), faults.reorder_skip);
+    mailboxes_[dst].push(std::move(clean), faults.reorder_skip);
     if (duplicated) {
       Message dup;
       dup.src = src;
@@ -172,16 +153,16 @@ double Network::send_timed(int src, int dst, int tag, Buffer payload,
       dup.phase = phase;
       dup.checksum = clean_checksum;
       dup.transport_dup = true;
-      mailboxes_[dst]->push(std::move(dup), faults.reorder_skip);
+      mailboxes_[dst].push(std::move(dup), faults.reorder_skip);
     }
   } else {
-    mailboxes_[dst]->push(Message{src, tag, stamp, std::move(payload), phase},
-                          faults.reorder_skip);
+    mailboxes_[dst].push(Message{src, tag, stamp, std::move(payload), phase},
+                         faults.reorder_skip);
   }
   return clock;
 }
 
-// Transport-side acceptance check, shared by both receive paths.  Returns
+// Transport-side acceptance check of the receive path.  Returns
 // true when `msg` is a real delivery; false when it was transport debris
 // (an injected duplicate, discarded silently, or a corrupt copy, nacked and
 // charged to the receiver's transport phase) and the caller must pop again.
@@ -200,28 +181,15 @@ bool Network::transport_accept(int dst, Message& msg) {
     auto& tc = stats_.transport_mut(dst);
     ++tc.corrupt_discards;
     ++tc.nacks;
-    const std::string active = stats_.phase(dst);
-    stats_.set_phase(dst, kPhaseTransport);
+    const PhaseId active = stats_.phase_id(dst);
+    stats_.set_phase_id(dst, transport_phase_);
     stats_.record_receive(dst, msg.payload.byte_size());
     stats_.record_send(dst, 0);  // the nack
-    stats_.set_phase(dst, active);
+    stats_.set_phase_id(dst, active);
     return false;
   }
   ++stats_.transport_mut(dst).acks;
   return true;
-}
-
-Buffer Network::recv(int dst, int src, int tag, double* arrival_time) {
-  CAMB_CHECK(src >= 0 && src < nprocs_ && dst >= 0 && dst < nprocs_);
-  for (;;) {
-    Message msg = mailboxes_[dst]->pop_matching(src, tag);
-    if (!transport_accept(dst, msg)) continue;
-    if (src != dst) {
-      stats_.record_receive(dst, msg.payload.byte_size());
-    }
-    if (arrival_time != nullptr) *arrival_time = msg.depart_time;
-    return std::move(msg.payload);
-  }
 }
 
 RecvStatus Network::recv_or_failed(int dst, int src, int tag, double deadline,
@@ -230,7 +198,7 @@ RecvStatus Network::recv_or_failed(int dst, int src, int tag, double deadline,
   Message msg;
   RecvStatus status;
   for (;;) {
-    status = mailboxes_[dst]->pop_matching_or_failed(src, tag, deadline, &msg);
+    status = mailboxes_[dst].pop_matching_or_failed(src, tag, deadline, &msg);
     if (status == RecvStatus::kDelivered && !transport_accept(dst, msg)) {
       continue;  // transport debris — the real delivery is still queued
     }
@@ -248,16 +216,16 @@ RecvStatus Network::recv_or_failed(int dst, int src, int tag, double deadline,
   // zero-word message in the dedicated heartbeat phase.  Words stay zero and
   // the rank's active algorithm phase is untouched, so detection can never
   // perturb the paper's word counts.
-  const std::string active = stats_.phase(dst);
-  stats_.set_phase(dst, "heartbeat");
+  const PhaseId active = stats_.phase_id(dst);
+  stats_.set_phase_id(dst, heartbeat_phase_);
   stats_.record_send(dst, 0);
-  stats_.set_phase(dst, active);
+  stats_.set_phase_id(dst, active);
   return status;
 }
 
 void Network::mark_rank_dead(int rank) {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  for (auto& mailbox : mailboxes_) mailbox->mark_dead(rank);
+  for (int dst = 0; dst < nprocs_; ++dst) mailboxes_[dst].mark_dead(rank);
 }
 
 void Network::mark_rank_deviated(int rank) {
@@ -266,19 +234,21 @@ void Network::mark_rank_deviated(int rank) {
 
 void Network::mark_rank_deviated(int rank, int tag_limit) {
   CAMB_CHECK(rank >= 0 && rank < nprocs_);
-  for (auto& mailbox : mailboxes_) mailbox->mark_deviated(rank, tag_limit);
+  for (int dst = 0; dst < nprocs_; ++dst) {
+    mailboxes_[dst].mark_deviated(rank, tag_limit);
+  }
 }
 
 std::size_t Network::pending_messages() const {
   std::size_t total = 0;
-  for (const auto& mailbox : mailboxes_) total += mailbox->pending();
+  for (int dst = 0; dst < nprocs_; ++dst) total += mailboxes_[dst].pending();
   return total;
 }
 
 std::vector<UndeliveredMessage> Network::undelivered() {
   std::vector<UndeliveredMessage> out;
   for (int dst = 0; dst < nprocs_; ++dst) {
-    mailboxes_[static_cast<std::size_t>(dst)]->drain_undelivered(dst, out);
+    mailboxes_[dst].drain_undelivered(dst, out, &stats_);
   }
   return out;
 }

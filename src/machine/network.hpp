@@ -64,35 +64,25 @@ class Network {
   void set_reliable(ReliableTransport* transport) { reliable_ = transport; }
   ReliableTransport* reliable() { return reliable_; }
 
-  /// Send `payload` from rank `src` to rank `dst` with tag `tag`.
-  /// Buffered: returns as soon as the message is deposited. Self-sends are
-  /// permitted and delivered but are NOT counted as communication (data that
-  /// stays in a processor's local memory is free in the model); their
-  /// payload is delivered by move, storage intact.
-  /// `depart_time` stamps the sender's logical clock onto the message.
-  void send(int src, int dst, int tag, Buffer payload,
-            double depart_time = 0.0);
-
-  /// The clocked (and fault-injecting) send used by RankCtx: charges the
-  /// sender's logical clock for the send under `params`, consults the
-  /// attached crash plan (throwing RankCrashed when the sender's planned
-  /// death triggers) and fault plan (transient failures retried with
-  /// exponential backoff — words and the message counted once, latency
-  /// charged per attempt; delivery delays inflate the arrival stamp only;
-  /// stragglers scale the sender's charge), and returns the sender's new
-  /// clock.  With no plans attached this is exactly the historical
-  /// behaviour: clock + alpha + beta * words for counted sends, clock for
-  /// self-sends.
+  /// Send `payload` from rank `src` to rank `dst` with tag `tag` — the one
+  /// send path, used by RankCtx.  Buffered: returns as soon as the message
+  /// is deposited.  Self-sends are permitted and delivered but are NOT
+  /// counted as communication (data that stays in a processor's local
+  /// memory is free in the model); their payload is delivered by move,
+  /// storage intact.  Charges the sender's logical clock for the send under
+  /// `params`, consults the attached crash plan (throwing RankCrashed when
+  /// the sender's planned death triggers) and fault plan (transient
+  /// failures retried with exponential backoff — words and the message
+  /// counted once, latency charged per attempt; delivery delays inflate the
+  /// arrival stamp only; stragglers scale the sender's charge), and returns
+  /// the sender's new clock (`clock` stamps the message's departure).  With
+  /// no plans attached: clock + alpha + beta * words for counted sends,
+  /// clock for self-sends.
   double send_timed(int src, int dst, int tag, Buffer payload, double clock,
                     const AlphaBeta& params);
 
-  /// Blocking receive at rank `dst` of the message (src, tag).
-  /// `arrival_time`, when non-null, receives the message's departure stamp.
-  /// Oblivious to failure marking — callers that must survive crashed peers
-  /// use recv_or_failed.
-  Buffer recv(int dst, int src, int tag, double* arrival_time = nullptr);
-
-  /// Failure-aware receive: blocks until a matching message with arrival
+  /// Blocking receive at rank `dst` of the message (src, tag) — the one
+  /// receive path.  Blocks until a matching message with arrival
   /// stamp <= `deadline` is delivered, a matching message past the deadline
   /// is observed (kTimedOut — the message stays queued), or the source is
   /// marked failed with nothing matching buffered (kSrcDead / kSrcDeviated;
@@ -134,6 +124,10 @@ class Network {
 
   int nprocs_;
   CommStats stats_;
+  // The dedicated accounting phases, interned up front so the save/set/
+  // restore around them is id-only.
+  PhaseId transport_phase_;
+  PhaseId heartbeat_phase_;
   Trace* trace_ = nullptr;
   FaultPlan* fault_plan_ = nullptr;
   CrashPlan* crash_plan_ = nullptr;
@@ -142,7 +136,7 @@ class Network {
   // destruction: a queued Buffer destroyed by ~Mailbox can always reach its
   // origin pool.
   std::vector<std::unique_ptr<BufferPool>> pools_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::unique_ptr<Mailbox[]> mailboxes_;
 };
 
 }  // namespace camb

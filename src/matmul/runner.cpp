@@ -154,17 +154,21 @@ RunReport report_from_machine(camb::Machine& machine, const RunOptions& opts) {
     ++report.recovery.debris_envelopes;
     report.recovery.debris_words += d.words();
   }
+  const camb::PhaseId heartbeat = stats.find_phase("heartbeat");
+  const camb::PhaseId abft_shrink = stats.find_phase("abft_shrink");
+  const camb::PhaseId abft_recover = stats.find_phase("abft_recover");
+  const camb::PhaseId abft_encode = stats.find_phase("abft_encode");
   for (int r = 0; r < stats.nprocs(); ++r) {
-    report.recovery.heartbeat_probes +=
-        stats.rank_phase(r, "heartbeat").messages_sent;
-    const double rec = stats.rank_phase(r, "abft_shrink").words_received() +
-                       stats.rank_phase(r, "abft_recover").words_received() +
-                       stats.rank_phase(r, "heartbeat").words_received();
+    const camb::PhaseCounters probes = stats.rank_phase(r, heartbeat);
+    report.recovery.heartbeat_probes += probes.messages_sent;
+    const double rec = stats.rank_phase(r, abft_shrink).words_received() +
+                       stats.rank_phase(r, abft_recover).words_received() +
+                       probes.words_received();
     report.recovery.recovery_recv_words =
         std::max(report.recovery.recovery_recv_words, rec);
     report.recovery.encode_recv_words =
         std::max(report.recovery.encode_recv_words,
-                 stats.rank_phase(r, "abft_encode").words_received());
+                 stats.rank_phase(r, abft_encode).words_received());
   }
   return report;
 }
@@ -488,16 +492,18 @@ void fill_resilience_report(RunReport& report, camb::Machine& machine,
     }
   }
   const camb::CommStats& stats = machine.stats();
+  const camb::PhaseId checkpoint = stats.find_phase(ckpt::kPhaseCheckpoint);
+  const camb::PhaseId flood = stats.find_phase(ckpt::kPhaseCkptShrink);
+  const camb::PhaseId restream = stats.find_phase(ckpt::kPhaseCkptRollback);
   for (int r = 0; r < stats.nprocs(); ++r) {
     res.checkpoint_recv_words =
         std::max(res.checkpoint_recv_words,
-                 stats.rank_phase(r, ckpt::kPhaseCheckpoint).words_received());
-    res.flood_recv_words =
-        std::max(res.flood_recv_words,
-                 stats.rank_phase(r, ckpt::kPhaseCkptShrink).words_received());
+                 stats.rank_phase(r, checkpoint).words_received());
+    res.flood_recv_words = std::max(
+        res.flood_recv_words, stats.rank_phase(r, flood).words_received());
     res.restream_recv_words =
         std::max(res.restream_recv_words,
-                 stats.rank_phase(r, ckpt::kPhaseCkptRollback).words_received());
+                 stats.rank_phase(r, restream).words_received());
   }
   if (machine.crash_outcome().any_crashed()) {
     report.predicted_critical_recv = -1;

@@ -176,8 +176,8 @@ TEST(FaultPlan, NamedProfilesAllConstruct) {
 
 TEST(Mailbox, ReorderSkipJumpsDifferentEnvelopesOnly) {
   Mailbox box;
-  box.push(Message{0, 1, 0.0, {1.0}, ""});
-  box.push(Message{2, 9, 0.0, {2.0}, ""}, /*reorder_skip=*/5);
+  box.push(Message{0, 1, 0.0, {1.0}});
+  box.push(Message{2, 9, 0.0, {2.0}}, /*reorder_skip=*/5);
   // The (2, 9) message jumped the queue: pop_any sees it first.
   EXPECT_EQ(box.pop_any().src, 2);
   EXPECT_EQ(box.pop_any().src, 0);
@@ -185,8 +185,8 @@ TEST(Mailbox, ReorderSkipJumpsDifferentEnvelopesOnly) {
 
 TEST(Mailbox, ReorderSkipNeverPassesSameEnvelope) {
   Mailbox box;
-  box.push(Message{0, 1, 0.0, {1.0}, ""});
-  box.push(Message{0, 1, 0.0, {2.0}, ""}, /*reorder_skip=*/5);
+  box.push(Message{0, 1, 0.0, {1.0}});
+  box.push(Message{0, 1, 0.0, {2.0}}, /*reorder_skip=*/5);
   // Same (src, tag): FIFO must hold no matter the requested jump.
   EXPECT_DOUBLE_EQ(box.pop_any().payload[0], 1.0);
   EXPECT_DOUBLE_EQ(box.pop_any().payload[0], 2.0);
@@ -194,9 +194,9 @@ TEST(Mailbox, ReorderSkipNeverPassesSameEnvelope) {
 
 TEST(Mailbox, ReorderSkipStopsAtSameEnvelopeBarrier) {
   Mailbox box;
-  box.push(Message{3, 3, 0.0, {1.0}, ""});  // same envelope as the mover
-  box.push(Message{0, 1, 0.0, {2.0}, ""});
-  box.push(Message{3, 3, 0.0, {3.0}, ""}, /*reorder_skip=*/5);
+  box.push(Message{3, 3, 0.0, {1.0}});  // same envelope as the mover
+  box.push(Message{0, 1, 0.0, {2.0}});
+  box.push(Message{3, 3, 0.0, {3.0}}, /*reorder_skip=*/5);
   // The mover may pass (0,1) but must stop behind the earlier (3,3).
   EXPECT_DOUBLE_EQ(box.pop_matching(3, 3).payload[0], 1.0);
   EXPECT_DOUBLE_EQ(box.pop_matching(3, 3).payload[0], 3.0);
@@ -214,7 +214,7 @@ TEST(Mailbox, PopPathsDoNotMaterializeBucketsForSilentSources) {
   // Neither failed receive may create storage: buckets exist only for
   // sources that actually pushed (the sparse-footprint contract).
   EXPECT_EQ(box.bucket_count(), 0u);
-  box.push(Message{3, 1, 0.0, {1.0}, ""});
+  box.push(Message{3, 1, 0.0, {1.0}});
   EXPECT_EQ(box.bucket_count(), 1u);
   EXPECT_DOUBLE_EQ(box.pop_matching(3, 1).payload[0], 1.0);
   EXPECT_EQ(box.bucket_count(), 1u);  // emptied in place, not erased

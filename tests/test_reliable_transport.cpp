@@ -361,13 +361,11 @@ TEST(MailboxDebris, DrainUndeliveredCarriesTransportDupFlag) {
   dup.src = 2;
   dup.tag = 9;
   dup.payload = Buffer::zeros(3);
-  dup.phase = "exchange";
   dup.transport_dup = true;
   Message leak;
   leak.src = 1;
   leak.tag = 4;
   leak.payload = Buffer::zeros(2);
-  leak.phase = "exchange";
   box.push(std::move(dup));
   box.push(std::move(leak));
   std::vector<UndeliveredMessage> out;
