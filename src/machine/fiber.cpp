@@ -637,7 +637,11 @@ Fiber* FiberScheduler::take_next() {
     idx = static_cast<std::size_t>(splitmix64(pick_state_) % runq_.size());
   }
   Fiber* fiber = runq_[idx];
-  runq_.erase(runq_.begin() + static_cast<std::ptrdiff_t>(idx));
+  if (idx == 0) {
+    runq_.pop_front();  // FIFO pick: no out-of-line deque erase
+  } else {
+    runq_.erase(runq_.begin() + static_cast<std::ptrdiff_t>(idx));
+  }
   return fiber;
 }
 

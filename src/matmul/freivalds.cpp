@@ -82,7 +82,10 @@ double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
 
   // Per trial: worst = max_i |(A y)_i - (C x)_i|, scale = max(1, max_i
   // sum_j |a_ij y_j|).  Each slice keeps its own maxima and folds them in
-  // under the lock; a max does not depend on the order it is taken in.
+  // under the lock; a max does not depend on the order it is taken in.  A
+  // NaN or inf in row i of C makes (C x)_i NaN or inf in every trial
+  // (0 * NaN and 0 * inf are NaN), and max_residual folds a NaN difference
+  // in as +inf, so such a C has residual +inf.
   std::vector<double> worst(static_cast<std::size_t>(padded), 0.0);
   std::vector<double> scale(static_cast<std::size_t>(padded), 1.0);
   std::mutex fold_mutex;
@@ -98,7 +101,8 @@ double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
                             x.data() + blk * n3 * kTrialBlock, w, nullptr);
         for (int k = 0; k < kTrialBlock; ++k) {
           const std::size_t t = static_cast<std::size_t>(blk * kTrialBlock + k);
-          slice_worst[t] = std::max(slice_worst[t], std::abs(z[k] - w[k]));
+          slice_worst[t] =
+              max_residual(slice_worst[t], std::abs(z[k] - w[k]));
           slice_scale[t] = std::max(slice_scale[t], z_mag[k]);
         }
       }
@@ -113,7 +117,7 @@ double freivalds_residual(const Matrix<T>& a, const Matrix<T>& b,
   double residual = 0.0;
   for (int t = 0; t < trials; ++t) {
     const std::size_t i = static_cast<std::size_t>(t);
-    residual = std::max(residual, worst[i] / scale[i]);
+    residual = max_residual(residual, worst[i] / scale[i]);
   }
   return residual;
 }

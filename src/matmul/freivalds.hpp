@@ -51,7 +51,8 @@ constexpr double freivalds_default_tol() {
 
 /// The largest residual over `trials` checks with random {0,1} vectors:
 /// per trial, max_i |(A(Bx) - Cx)_i| divided by max(1, max_i sum_j
-/// |a_ij (Bx)_j|), computed at double precision regardless of T.  Throws
+/// |a_ij (Bx)_j|), computed at double precision regardless of T.  A NaN or
+/// inf entry of C gives +inf (see max_residual in util/matrix.hpp).  Throws
 /// camb::Error unless A's columns match B's rows, C is A.rows x B.cols, and
 /// trials >= 1.  Draws trials * B.cols values from `rng`.
 template <typename T>

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "machine/parallel_rows.hpp"
 #include "util/error.hpp"
 #include "util/scalar.hpp"
 
@@ -165,14 +166,17 @@ inline void micro_edge(const T* a, i64 lda, const T* bp, i64 nc, T* c,
 }  // namespace
 
 template <typename T>
-void gemm_accumulate(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
+void gemm_accumulate_rows(const Matrix<T>& a, const Matrix<T>& b,
+                          Matrix<T>& c, i64 row_begin, i64 row_end) {
   CAMB_CHECK_MSG(a.cols() == b.rows(), "inner dimensions must agree");
   CAMB_CHECK_MSG(c.rows() == a.rows() && c.cols() == b.cols(),
                  "output shape mismatch");
-  const i64 rows = a.rows(), inner = a.cols(), cols = b.cols();
-  const T* adata = a.data();
+  CAMB_CHECK_MSG(0 <= row_begin && row_begin <= row_end && row_end <= a.rows(),
+                 "gemm row range out of range");
+  const i64 rows = row_end - row_begin, inner = a.cols(), cols = b.cols();
+  const T* adata = a.data() + row_begin * inner;
   const T* bdata = b.data();
-  T* cdata = c.data();
+  T* cdata = c.data() + row_begin * cols;
   // Resolved once per process (magic static, one per scalar): AVX2
   // micro-tile if the CPU and scalar have it, the portable template
   // otherwise.  Both produce identical bits.
@@ -213,6 +217,11 @@ void gemm_accumulate(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
 }
 
 template <typename T>
+void gemm_accumulate(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
+  gemm_accumulate_rows(a, b, c, 0, a.rows());
+}
+
+template <typename T>
 void gemm_accumulate_reference(const Matrix<T>& a, const Matrix<T>& b,
                                Matrix<T>& c) {
   CAMB_CHECK_MSG(a.cols() == b.rows(), "inner dimensions must agree");
@@ -245,12 +254,32 @@ Matrix<T> gemm(const Matrix<T>& a, const Matrix<T>& b) {
   return c;
 }
 
+template <typename T>
+Matrix<T> gemm_pooled(const Matrix<T>& a, const Matrix<T>& b) {
+  Matrix<T> c(a.rows(), b.cols());
+  // parallel_rows' inline floor counts elements of a fill-like loop (one
+  // hash each, a few ns); a row of C costs a.cols() * b.cols() mul-adds at
+  // about a tenth of a ns each.  Counting kMulAddsPerElement mul-adds as
+  // one element keeps products under ~2M mul-adds (96^3) inline, where
+  // waking the pool costs about what the slices would save.
+  constexpr i64 kMulAddsPerElement = 32;
+  parallel_rows(a.rows(),
+                ceil_div(checked_mul(a.cols(), b.cols()), kMulAddsPerElement),
+                [&](i64 begin, i64 end) {
+                  gemm_accumulate_rows(a, b, c, begin, end);
+                });
+  return c;
+}
+
 #define CAMB_INSTANTIATE(T)                                                \
   template void gemm_accumulate<T>(const Matrix<T>&, const Matrix<T>&,     \
                                    Matrix<T>&);                            \
+  template void gemm_accumulate_rows<T>(const Matrix<T>&, const Matrix<T>&, \
+                                        Matrix<T>&, i64, i64);              \
   template void gemm_accumulate_reference<T>(const Matrix<T>&,             \
                                              const Matrix<T>&, Matrix<T>&); \
-  template Matrix<T> gemm<T>(const Matrix<T>&, const Matrix<T>&);
+  template Matrix<T> gemm<T>(const Matrix<T>&, const Matrix<T>&);          \
+  template Matrix<T> gemm_pooled<T>(const Matrix<T>&, const Matrix<T>&);
 CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
 #undef CAMB_INSTANTIATE
 

@@ -31,6 +31,14 @@ using camb::MatrixD;
 template <typename T>
 void gemm_accumulate(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c);
 
+/// gemm_accumulate on rows [row_begin, row_end) of A and C against all of
+/// B.  Each output element sums the same products in the same order as the
+/// whole-matrix call, so its bits do not depend on the range, and disjoint
+/// ranges of one C may run concurrently.
+template <typename T>
+void gemm_accumulate_rows(const Matrix<T>& a, const Matrix<T>& b,
+                          Matrix<T>& c, i64 row_begin, i64 row_end);
+
 /// C += A * B as a plain tiled triple loop (the pre-blocking kernel).  The
 /// bit-exactness oracle: gemm_accumulate must produce exactly these bits on
 /// every shape.  Also the "before" side of the kernel benchmark.
@@ -41,6 +49,13 @@ void gemm_accumulate_reference(const Matrix<T>& a, const Matrix<T>& b,
 /// C = A * B (allocates C).
 template <typename T>
 Matrix<T> gemm(const Matrix<T>& a, const Matrix<T>& b);
+
+/// gemm with C's rows cut into slices on the WorkerPool
+/// (machine/parallel_rows.hpp; inline for small products or on a pool
+/// worker).  Bit-identical to gemm, and so to camb::matmul_reference: both
+/// start C at zero and sum each element's products in ascending k.
+template <typename T>
+Matrix<T> gemm_pooled(const Matrix<T>& a, const Matrix<T>& b);
 
 /// Tile edge used by the reference kernel (exposed for the kernel bench).
 inline constexpr i64 kGemmTile = 64;

@@ -13,6 +13,7 @@
 #include "collectives/shrink.hpp"
 #include "machine/parallel_rows.hpp"
 #include "matmul/freivalds.hpp"
+#include "matmul/local_gemm.hpp"
 #include "util/error.hpp"
 
 namespace camb::mm {
@@ -323,7 +324,7 @@ double check_result_pattern(const Shape& shape, const Matrix<T>& assembled,
     case VerifyMode::kReference: {
       Matrix<T> a, b;
       fill_inputs<T>(shape, integer_inputs, a, b);
-      return assembled.max_abs_diff(camb::matmul_reference(a, b));
+      return assembled.max_abs_diff(gemm_pooled(a, b));
     }
     case VerifyMode::kFreivalds: {
       Matrix<T> a, b;
@@ -352,21 +353,28 @@ MatrixD reference_result(const Shape& shape) {
   MatrixD a(shape.n1, shape.n2), b(shape.n2, shape.n3);
   a.fill_indexed(0, 0);
   b.fill_indexed(0, 0);
-  return camb::matmul_reference(a, b);
+  return gemm_pooled(a, b);
 }
 
 MatrixD reference_result_int(const Shape& shape) {
   MatrixD a(shape.n1, shape.n2), b(shape.n2, shape.n3);
   a.fill_indexed_int(0, 0);
   b.fill_indexed_int(0, 0);
-  return camb::matmul_reference(a, b);
+  return gemm_pooled(a, b);
 }
 
-double check_result(const Shape& shape, const MatrixD& assembled,
+template <typename T>
+double check_result(const Shape& shape, const Matrix<T>& assembled,
                     VerifyMode mode) {
-  return check_result_pattern<double>(shape, assembled, mode,
-                                      /*integer_inputs=*/false);
+  return check_result_pattern<T>(shape, assembled, mode,
+                                 /*integer_inputs=*/false);
 }
+
+#define CAMB_INSTANTIATE(T)                                       \
+  template double check_result<T>(const Shape&, const Matrix<T>&, \
+                                  VerifyMode);
+CAMB_FOR_EACH_SCALAR(CAMB_INSTANTIATE)
+#undef CAMB_INSTANTIATE
 
 namespace {
 

@@ -427,16 +427,21 @@ RunReport run_cannon(const CannonConfig& cfg, const RunOptions& opts);
 RunReport run_naive_bcast(const NaiveBcastConfig& cfg, i64 nprocs,
                           const RunOptions& opts);
 
-/// The serial reference result for a shape, built from the same indexed
-/// input pattern the distributed algorithms use.
+/// The reference result for a shape, built from the same indexed input
+/// pattern the distributed algorithms use, by gemm_pooled (bit-identical
+/// to camb::matmul_reference).
 MatrixD reference_result(const Shape& shape);
 
 /// Reference for the integer-valued pattern (what the ABFT algorithms use).
 MatrixD reference_result_int(const Shape& shape);
 
-/// Check an assembled result under the given mode; returns the max residual
-/// (abs error for kReference, normalized Freivalds residual otherwise).
-double check_result(const Shape& shape, const MatrixD& assembled,
+/// Check an assembled result of the indexed input pattern under the given
+/// mode; returns the max residual (abs error against gemm_pooled's product
+/// for kReference, normalized Freivalds residual otherwise).  A NaN or
+/// infinite entry that makes C disagree gives +inf, so it fails every
+/// tolerance.  Defined for the CAMB_FOR_EACH_SCALAR set.
+template <typename T>
+double check_result(const Shape& shape, const Matrix<T>& assembled,
                     VerifyMode mode);
 
 }  // namespace camb::mm

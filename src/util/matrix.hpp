@@ -7,8 +7,10 @@
 // matmul/local_gemm.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -35,6 +37,15 @@ template <typename T>
 T indexed_int_entry(i64 gi, i64 gj) {
   std::uint64_t s = static_cast<std::uint64_t>(gi * 0x1000003 + gj);
   return static_cast<T>(static_cast<double>(splitmix64(s) >> 60) - 8.0);
+}
+
+/// std::max(worst, d) for folding verification residuals, except that a
+/// NaN d gives +inf.  std::max(worst, NaN) returns worst, which would pass
+/// a NaN entry of C as verified.  For every other d the result is
+/// std::max's, bit for bit.
+inline double max_residual(double worst, double d) {
+  return std::max(worst,
+                  std::isnan(d) ? std::numeric_limits<double>::infinity() : d);
 }
 
 template <typename T>
@@ -147,14 +158,16 @@ class Matrix {
     }
   }
 
-  /// Max absolute element-wise difference with another matrix of equal shape.
+  /// Max absolute element-wise difference with another matrix of equal
+  /// shape, at double precision.  Equal entries (infinities included) differ
+  /// by 0; a NaN on either side makes the result +inf (max_residual).
   double max_abs_diff(const Matrix& other) const {
     CAMB_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
     double worst = 0.0;
     for (std::size_t idx = 0; idx < data_.size(); ++idx) {
-      worst = std::max(
-          worst, std::abs(ScalarTraits<T>::to_double(data_[idx]) -
-                          ScalarTraits<T>::to_double(other.data_[idx])));
+      const double x = ScalarTraits<T>::to_double(data_[idx]);
+      const double y = ScalarTraits<T>::to_double(other.data_[idx]);
+      worst = max_residual(worst, x == y ? 0.0 : std::abs(x - y));
     }
     return worst;
   }

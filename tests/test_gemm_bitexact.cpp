@@ -10,35 +10,15 @@
 #include <cstring>
 #include <vector>
 
+#include "gemm_shapes.hpp"
 #include "matmul/local_gemm.hpp"
 #include "util/matrix.hpp"
 
 namespace camb::mm {
 namespace {
 
-struct Shape {
-  i64 rows, inner, cols;
-};
-
-// Awkward shapes: unit dims, primes, tall-skinny / short-wide, and every
-// blocking-parameter boundary ±1 (micro-tile mr/nr, panel kc/nc, and the
-// reference kernel's own tile).
-const Shape kShapes[] = {
-    {1, 1, 1},
-    {1, 7, 1},
-    {2, 500, 2},
-    {500, 2, 3},
-    {13, 17, 19},
-    {97, 193, 257},
-    {kGemmMr - 1, 5, kGemmNr - 1},
-    {kGemmMr + 1, 5, kGemmNr + 1},
-    {2 * kGemmMr + 1, kGemmKc - 1, 2 * kGemmNr + 1},
-    {3, kGemmKc + 1, kGemmNc - 1},
-    {5, kGemmKc, kGemmNc + 1},
-    {kGemmTile - 1, kGemmTile + 1, kGemmTile - 1},
-    {kGemmTile, kGemmTile, kGemmTile},
-    {kGemmTile + 1, kGemmTile - 1, kGemmTile + 1},
-};
+using test::kAwkwardGemmShapes;
+using Shape = test::GemmShape;
 
 // Deterministic sign-varied fill so additions genuinely round (an all-ones
 // fill would hide order dependence).  Distinct global origins per matrix
@@ -51,7 +31,7 @@ bool bits_equal(const MatrixD& x, const MatrixD& y) {
 }
 
 TEST(GemmBitExact, MatchesReferenceOnAwkwardShapes) {
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : kAwkwardGemmShapes) {
     MatrixD a(s.rows, s.inner), b(s.inner, s.cols);
     fill(a, 1);
     fill(b, 2);
